@@ -85,15 +85,15 @@ from .objective import (
     anchor_moments,
     contrastive_grad,
     contrastive_loss,
+    contrastive_value_and_grad,
     cosine_sim,
     gaussian_kl_closed_form,
-    gaussian_prior_kl,
-    gaussian_prior_kl_grad,
+    gaussian_prior_value_and_grad,
     kl_uniform,
     kl_uniform_grad,
+    kl_uniform_value_and_grad,
     pool_anchors,
     soft_assign,
-    top_k_select,
     total_loss,
 )
 from .synth import (

@@ -166,7 +166,11 @@ def backward(
         raise DimensionError(
             f"upstream must be {(net.output_dim, tokens.num_tokens)}, got {upstream.shape}"
         )
-    acts = _forward_cached(net, tokens)
+    return _backprop(net, _forward_cached(net, tokens), upstream)
+
+
+def _backprop(net: AssignmentNetwork, acts, upstream: np.ndarray) -> GradientBundle:
+    """The backward loop over activations cached by ``_forward_cached``."""
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     delta = upstream
     for i in range(len(net.layers) - 1, -1, -1):
@@ -249,24 +253,28 @@ def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
     head_end = buf.find(end_marker)
     if head_end < 0:
         raise FormatError("checkpoint manifest has no end marker")
-    manifest = buf[:head_end].decode("utf-8").splitlines()
     offset = head_end + len(end_marker)
     meta = {}
     shapes = []
-    if not manifest or manifest[0] != "anchorkit-checkpoint v1":
-        raise FormatError("not an anchorkit checkpoint")
-    for line in manifest[1:]:
-        key, _, value = line.partition(" ")
-        if key == "layer":
-            out_dim, in_dim = value.split()
-            shapes.append((int(out_dim), int(in_dim)))
-        else:
-            meta[key] = value
+    try:
+        manifest = buf[:head_end].decode("utf-8").splitlines()
+        if not manifest or manifest[0] != "anchorkit-checkpoint v1":
+            raise FormatError("not an anchorkit checkpoint")
+        for line in manifest[1:]:
+            key, _, value = line.partition(" ")
+            if key == "layer":
+                out_dim, in_dim = value.split()
+                shapes.append((int(out_dim), int(in_dim)))
+            else:
+                meta[key] = value
+        n_layers = int(meta.get("layers", -1))
+        step_count = int(meta.get("step_count", 0))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        raise FormatError(f"malformed checkpoint manifest: {exc}") from None
     if meta.get("activation") != ACTIVATION:
         raise FormatError(f"unsupported activation {meta.get('activation')!r}")
-    if int(meta.get("layers", -1)) != len(shapes):
+    if n_layers != len(shapes):
         raise FormatError("manifest layer count disagrees with layer lines")
-    step_count = int(meta.get("step_count", 0))
     layers = []
     for out_dim, in_dim in shapes:
         weight, offset = _decode_array(buf, offset)

@@ -261,7 +261,7 @@ def cmd_gen(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _train_config(cfg: dict, n_tokens: int) -> compressor.TrainConfig:
+def _train_config(cfg: dict) -> compressor.TrainConfig:
     objective = AnchorConfig(
         n_anchors=cfg["anchors"],
         top_k=cfg["top_k"],
@@ -285,7 +285,7 @@ def cmd_train(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("--input is required")
     tokens = load_tokens(cfg["input"])
-    train_cfg = _train_config(cfg, tokens.num_tokens)
+    train_cfg = _train_config(cfg)
     net = None
     base_steps = 0
     if cfg["resume"]:

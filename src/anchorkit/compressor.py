@@ -29,6 +29,7 @@ from .objective import (
     DEGENERATE_MASS,
     AnchorConfig,
     anchor_moments,
+    pool_anchors,
     soft_assign,
     total_loss,
 )
@@ -149,14 +150,17 @@ def train(
         else:
             idx = np.sort(rng.choice(tokens.num_tokens, size=cfg.subsample, replace=False))
             batch = TokenMatrix(tokens.data[idx])
-        logits = assignnet.forward(net, batch)
+        # one forward pass per step; backprop reuses its activations
+        acts = assignnet._forward_cached(net, batch)
+        logits = acts[-1]
         if not np.isfinite(logits).all():
             raise TrainingDivergedError(step, "logits")
         value = total_loss(logits, batch, obj)
         for term, name in ((value.contrastive, "contrastive"), (value.regularizer, "regularizer")):
             if not np.isfinite(term):
                 raise TrainingDivergedError(step, name)
-        grads = assignnet.backward(net, batch, value.grad_logits)
+        grads = assignnet._backprop(net, acts, value.grad_logits)
+        del acts  # so one step's activations are freed before the next forward
         try:
             net, state = assignnet.adam_step(net, grads, state)
         except NumericalError:
@@ -183,7 +187,7 @@ def compress(tokens: TokenMatrix, net: AssignmentNetwork) -> CompressResult:
     """
     logits = assignnet.forward(net, tokens)
     assignments = soft_assign(logits)
-    anchors = assignments @ tokens.data
+    anchors = pool_anchors(assignments, tokens)
     return CompressResult(assignments, anchors)
 
 

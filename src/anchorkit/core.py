@@ -196,6 +196,8 @@ def _encode_array(arr: np.ndarray) -> bytes:
 
 def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     """Decode one VLT1 record starting at ``offset``; returns (array, next offset)."""
+    if len(buf) < offset + 4 and MAGIC.startswith(buf[offset:]):
+        raise TruncatedPayloadError("file ends inside the magic bytes")
     if buf[offset : offset + 4] != MAGIC:
         raise BadMagicError(f"expected magic {MAGIC!r} at offset {offset}")
     offset += 4

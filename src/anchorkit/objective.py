@@ -10,10 +10,15 @@ of the tokens. Training balances two forces:
   anchors (categorical-to-uniform by default, a Gaussian moment-matching
   variant for ablations, or none).
 
+Each term has one ``*_value_and_grad`` function that shares its work
+between the value and the gradient; ``total_loss`` calls each once per
+training step. ``contrastive_loss``, ``contrastive_grad``, ``kl_uniform``
+and ``kl_uniform_grad`` return one half of such a call.
+
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
-exact derivative of the corresponding value function as implemented, with
-one documented exception: the top-k positive sets are treated as constant
+exact derivative of the corresponding value as implemented, with one
+documented exception: the top-k positive sets are treated as constant
 under differentiation (selection is piecewise constant in the logits).
 """
 
@@ -97,34 +102,35 @@ def pool_anchors(assignments: np.ndarray, tokens: TokenMatrix) -> np.ndarray:
     return r @ tokens.data
 
 
-def kl_uniform(assignments: np.ndarray, mean_normalized: bool = False) -> float:
-    """Total divergence of the per-token assignments from uniform.
+def kl_uniform_value_and_grad(assignments: np.ndarray,
+                              mean_normalized: bool = False) -> tuple[float, np.ndarray]:
+    """Total divergence of the per-token assignments from uniform, and its
+    logit gradient, exact through the column softmax.
 
     Per token: sum_a r * log(r * A), with 0 * log 0 = 0. Summed over all
     tokens by default; ``mean_normalized`` divides by the token count.
     """
     r = np.asarray(assignments, dtype=np.float64)
-    n_anchors = r.shape[0]
-    terms = np.zeros_like(r)
     mask = r > 0
-    terms[mask] = r[mask] * np.log(r[mask] * n_anchors)
-    total = float(terms.sum())
+    log_ratio = np.zeros_like(r)
+    np.log(r * r.shape[0], out=log_ratio, where=mask)
+    value = float((r * log_ratio).sum())
+    log_ratio += mask  # d(value)/dr: log(r * A) + 1 where r > 0, else 0
+    grad = _softmax_backward(r, log_ratio)
     if mean_normalized:
-        total /= r.shape[1]
-    return total
+        value /= r.shape[1]
+        grad /= r.shape[1]
+    return value, grad
+
+
+def kl_uniform(assignments: np.ndarray, mean_normalized: bool = False) -> float:
+    """The value of :func:`kl_uniform_value_and_grad`."""
+    return kl_uniform_value_and_grad(assignments, mean_normalized)[0]
 
 
 def kl_uniform_grad(assignments: np.ndarray, mean_normalized: bool = False) -> np.ndarray:
-    """d(kl_uniform)/dlogits, exact through the column softmax."""
-    r = np.asarray(assignments, dtype=np.float64)
-    n_anchors = r.shape[0]
-    u = np.zeros_like(r)
-    mask = r > 0
-    u[mask] = np.log(r[mask] * n_anchors) + 1.0
-    grad = r * (u - (r * u).sum(axis=0, keepdims=True))
-    if mean_normalized:
-        grad /= r.shape[1]
-    return grad
+    """The gradient of :func:`kl_uniform_value_and_grad`."""
+    return kl_uniform_value_and_grad(assignments, mean_normalized)[1]
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray, sim_epsilon: float = 1e-8) -> float:
@@ -151,68 +157,45 @@ def _sim_matrix(anchors: np.ndarray, tokens: TokenMatrix, sim_epsilon: float):
     return sims, denom, anchor_norms, token_norms
 
 
-def top_k_select(assignments: np.ndarray, anchor: int, k: int) -> np.ndarray:
-    """Indices of the k largest responsibilities in one anchor row.
+def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
+    """Boolean (n_anchors, M) mask of each row's top-k token set.
 
-    Ties break toward the lowest token index; the result is sorted
-    ascending, so equal inputs always give the identical set.
+    Ties at the k-th largest value break toward the lowest token index,
+    so equal inputs always give the identical set.
     """
     r = np.asarray(assignments, dtype=np.float64)
     m = r.shape[1]
     if k > m:
         raise ConfigError(f"top_k={k} exceeds token count {m}")
-    row = r[anchor]
-    order = np.lexsort((np.arange(m), -row))
-    return np.sort(order[:k])
-
-
-def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
-    """Boolean (n_anchors, M) mask of each row's top-k token set."""
-    r = np.asarray(assignments, dtype=np.float64)
-    n_anchors, m = r.shape
-    if k > m:
-        raise ConfigError(f"top_k={k} exceeds token count {m}")
-    cols = np.arange(m)
-    mask = np.zeros_like(r, dtype=bool)
-    for a in range(n_anchors):
-        order = np.lexsort((cols, -r[a]))
-        mask[a, order[:k]] = True
+    kth = np.partition(r, m - k, axis=1)[:, m - k, None]
+    mask = r >= kth
+    # a row with more than k entries at or above its k-th largest value has
+    # ties at that value; the surplus ties drop from the highest token index
+    surplus = mask.sum(axis=1) - k
+    for a in np.flatnonzero(surplus):
+        ties = np.flatnonzero(r[a] == kth[a])
+        mask[a, ties[len(ties) - surplus[a]:]] = False
     return mask
 
 
-def contrastive_loss(
+def contrastive_value_and_grad(
     anchors: np.ndarray,
     tokens: TokenMatrix,
     assignments: np.ndarray,
     cfg: AnchorConfig,
-) -> float:
-    """Summed top-k contrastive term over all anchors.
+) -> tuple[float, np.ndarray]:
+    """Summed top-k contrastive term over all anchors, and its logit gradient.
 
     For each anchor, the k tokens with highest responsibility are
     positives; the partition function runs over every token. Each
     anchor's term is the mean negative log-probability of its positives
     under a temperature-scaled softmax of cosine similarities.
-    """
-    sims, _, _, _ = _sim_matrix(anchors, tokens, cfg.sim_epsilon)
-    scaled = sims / cfg.temperature
-    mask = _top_k_mask(assignments, cfg.top_k)
-    row_max = scaled.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(scaled - row_max).sum(axis=1)) + row_max[:, 0]
-    positives_mean = (scaled * mask).sum(axis=1) / cfg.top_k
-    return float((lse - positives_mean).sum())
-
-
-def contrastive_grad(
-    anchors: np.ndarray,
-    tokens: TokenMatrix,
-    assignments: np.ndarray,
-    cfg: AnchorConfig,
-) -> np.ndarray:
-    """d(contrastive_loss)/dlogits with the top-k sets held fixed.
 
     ``anchors`` must be the pooled product of (assignments, tokens): the
     gradient flows through anchors = R Z and then through the column
-    softmax. Tokens are data and receive no gradient.
+    softmax, with the top-k sets held fixed. Tokens are data and receive
+    no gradient. The similarity matrix, its exponentials and the top-k
+    mask are built once and shared by the value and the gradient.
     """
     z = tokens.data
     sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, tokens, cfg.sim_epsilon)
@@ -220,27 +203,49 @@ def contrastive_grad(
     mask = _top_k_mask(assignments, cfg.top_k)
 
     row_max = scaled.max(axis=1, keepdims=True)
-    expd = np.exp(scaled - row_max)
-    softmax = expd / expd.sum(axis=1, keepdims=True)
-    d_scaled = softmax - mask / cfg.top_k  # dL/d(sims/tau), per anchor row
+    positives_mean = (scaled * mask).sum(axis=1) / cfg.top_k
+    expd = np.exp(np.subtract(scaled, row_max, out=scaled), out=scaled)
+    row_sum = expd.sum(axis=1, keepdims=True)
+    lse = np.log(row_sum[:, 0]) + row_max[:, 0]
+    value = float((lse - positives_mean).sum())
 
+    # one buffer, in turn: softmax, dL/d(sims/tau), dL/dsims, direct weight
+    w_direct = np.divide(expd, row_sum, out=expd)
+    np.subtract(w_direct, 1.0 / cfg.top_k, out=w_direct, where=mask)
+    w_direct /= cfg.temperature
     # sims[a,m] = (c_a . z_m) / denom[a,m]; differentiate both factors.
-    d_sims = d_scaled / cfg.temperature
-    w_direct = d_sims / denom
+    w_direct /= denom
     d_anchors = w_direct @ z
-    beta = (w_direct * sims * token_norms[None, :]).sum(axis=1)
+    # beta = sum_m w_direct * sims * |z_m|, built in sims' buffer (its last use)
+    sims *= w_direct
+    sims *= token_norms[None, :]
+    beta = sims.sum(axis=1)
     safe_norms = np.maximum(anchor_norms, 1e-300)
     d_anchors -= (beta / safe_norms)[:, None] * anchors
 
     d_assignments = d_anchors @ z.T
-    return _softmax_backward(assignments, d_assignments)
+    return value, _softmax_backward(assignments, d_assignments)
+
+
+def contrastive_loss(anchors: np.ndarray, tokens: TokenMatrix, assignments: np.ndarray,
+                     cfg: AnchorConfig) -> float:
+    """The value of :func:`contrastive_value_and_grad`."""
+    return contrastive_value_and_grad(anchors, tokens, assignments, cfg)[0]
+
+
+def contrastive_grad(anchors: np.ndarray, tokens: TokenMatrix, assignments: np.ndarray,
+                     cfg: AnchorConfig) -> np.ndarray:
+    """The gradient of :func:`contrastive_value_and_grad`."""
+    return contrastive_value_and_grad(anchors, tokens, assignments, cfg)[1]
 
 
 def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.ndarray:
-    """Chain dL/dR through the column softmax to dL/dlogits."""
+    """Chain dL/dR through the column softmax to dL/dlogits, in ``d_assignments``' buffer."""
     r = np.asarray(assignments, dtype=np.float64)
     inner = (r * d_assignments).sum(axis=0, keepdims=True)
-    return r * (d_assignments - inner)
+    d_assignments -= inner
+    d_assignments *= r
+    return d_assignments
 
 
 def gaussian_kl_closed_form(mean: np.ndarray, variance: np.ndarray) -> float:
@@ -287,37 +292,27 @@ def anchor_moments(
     return means, variances, raw_var, mass
 
 
-def gaussian_prior_kl(
+def gaussian_prior_value_and_grad(
     assignments: np.ndarray,
     tokens: TokenMatrix,
     variance_floor: float = 1e-6,
-) -> float:
-    """Gaussian-prior regularizer over the anchor space.
+) -> tuple[float, np.ndarray]:
+    """Gaussian-prior regularizer over the anchor space, and its logit gradient.
 
     Each anchor's posterior is the diagonal Gaussian matching its
     responsibility-weighted token moments (variances floored); the value
     is the summed divergence from the standard normal. Anchors with no
     responsibility mass contribute the prior-only constant (mean 0,
     variance equal to the floor).
-    """
-    means, variances, _, _ = anchor_moments(assignments, tokens, variance_floor)
-    return gaussian_kl_closed_form(means, variances)
 
-
-def gaussian_prior_kl_grad(
-    assignments: np.ndarray,
-    tokens: TokenMatrix,
-    variance_floor: float = 1e-6,
-) -> np.ndarray:
-    """d(gaussian_prior_kl)/dlogits, exact away from the variance floor.
-
-    At floored coordinates the variance path carries zero derivative
-    (the floor is a max); degenerate anchors are constant and contribute
-    nothing.
+    The gradient is exact away from the variance floor: at floored
+    coordinates the variance path carries zero derivative (the floor is a
+    max); degenerate anchors are constant and contribute nothing.
     """
     r = np.asarray(assignments, dtype=np.float64)
     z = tokens.data
     means, variances, raw_var, mass = anchor_moments(assignments, tokens, variance_floor)
+    value = gaussian_kl_closed_form(means, variances)
     ok = mass >= DEGENERATE_MASS
     safe_mass = np.where(ok, mass, 1.0)
 
@@ -339,7 +334,7 @@ def gaussian_prior_kl_grad(
     ) + per_anchor_const[:, None]
     per_token /= safe_mass[:, None]
     per_token = np.where(ok[:, None], per_token, 0.0)
-    return _softmax_backward(r, per_token)
+    return value, _softmax_backward(r, per_token)
 
 
 @dataclass(frozen=True)
@@ -362,18 +357,14 @@ def total_loss(logits: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> Ob
     """
     assignments = soft_assign(logits)
     anchors = pool_anchors(assignments, tokens)
-    contrast = contrastive_loss(anchors, tokens, assignments, cfg)
-    grad = contrastive_grad(anchors, tokens, assignments, cfg)
+    contrast, grad = contrastive_value_and_grad(anchors, tokens, assignments, cfg)
     if cfg.prior_mode == "categorical":
-        reg = kl_uniform(assignments, cfg.kl_mean_normalized)
-        reg_grad = kl_uniform_grad(assignments, cfg.kl_mean_normalized)
+        reg, reg_grad = kl_uniform_value_and_grad(assignments, cfg.kl_mean_normalized)
     elif cfg.prior_mode == "gaussian":
-        reg = gaussian_prior_kl(assignments, tokens, cfg.variance_floor)
-        reg_grad = gaussian_prior_kl_grad(assignments, tokens, cfg.variance_floor)
+        reg, reg_grad = gaussian_prior_value_and_grad(assignments, tokens, cfg.variance_floor)
     else:
-        reg = 0.0
-        reg_grad = None
+        reg, reg_grad = 0.0, None
     if reg_grad is not None and cfg.kl_weight != 0.0:
-        grad = grad + cfg.kl_weight * reg_grad
+        grad += cfg.kl_weight * reg_grad
     total = contrast + cfg.kl_weight * reg
     return ObjectiveValue(total, contrast, reg, grad, assignments, anchors)

@@ -15,7 +15,7 @@ from anchorkit.assignnet import (
     load_checkpoint,
     save_checkpoint,
 )
-from anchorkit.core import ConfigError, DimensionError, TokenMatrix, seeded_rng
+from anchorkit.core import ConfigError, DimensionError, FormatError, TokenMatrix, seeded_rng
 
 
 def single_layer(weight, bias=None):
@@ -208,3 +208,19 @@ class TestCheckpoint:
         save_checkpoint(p1, net, 5)
         save_checkpoint(p2, net, 5)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("old,new", [
+        (b"layers 1\n", b"layers abc\n"),
+        (b"layer 2 3\n", b"layer 3\n"),
+        (b"anchorkit-checkpoint v1", b"anchorkit-checkpoint v1\xff"),
+        (b"step_count 5\n", b"step_count \xe9\n"),
+    ], ids=["layer-count-not-int", "layer-line-one-field", "non-utf8-header", "non-utf8-value"])
+    def test_malformed_manifest_raises_format_error(self, tmp_path, old, new):
+        net = init_network(3, 2, hidden_dims=(), seed=4)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, 5)
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from anchorkit import assignnet
 from anchorkit.assignnet import AdamParams, init_network
 from anchorkit.compressor import (
     TrainConfig,
@@ -15,7 +16,7 @@ from anchorkit.compressor import (
     train,
 )
 from anchorkit.core import ConfigError, TokenMatrix, seeded_rng
-from anchorkit.objective import AnchorConfig
+from anchorkit.objective import AnchorConfig, total_loss
 from anchorkit.synth import MixtureSpec, gaussian_mixture
 
 
@@ -52,6 +53,27 @@ class TestTrainContract:
             np.testing.assert_array_equal(la.weight, lb.weight)
             np.testing.assert_array_equal(la.bias, lb.bias)
         assert report_a == report_b
+
+    @pytest.mark.parametrize("mode", ["categorical", "gaussian", "none"])
+    def test_cached_backprop_equals_public_forward_and_backward(self, mode):
+        """train runs the network forward once per step and backpropagates
+        through those activations; the result is bit-identical to calling
+        the public forward, total_loss, backward and adam_step in turn."""
+        tokens = random_tokens(m=40, seed=6)
+        cfg = TrainConfig(steps=3, log_every=1, seed=2, hidden_dims=(8, 6),
+                          objective=small_objective(kl_weight=0.2, prior_mode=mode))
+        net, report = train(tokens, cfg)
+
+        expected = init_network(tokens.num_channels, 4, (8, 6), seed=2)
+        state = assignnet.init_adam(expected, cfg.adam)
+        for step in range(1, 4):
+            value = total_loss(assignnet.forward(expected, tokens), tokens, cfg.objective)
+            grads = assignnet.backward(expected, tokens, value.grad_logits)
+            expected, state = assignnet.adam_step(expected, grads, state)
+            assert report.records[step - 1].total == value.total
+        for got, want in zip(net.layers, expected.layers):
+            np.testing.assert_array_equal(got.weight, want.weight)
+            np.testing.assert_array_equal(got.bias, want.bias)
 
     @pytest.mark.parametrize(
         "steps,log_every", [(1, 1), (5, 2), (10, 3), (10, 10), (7, 50)]

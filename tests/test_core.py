@@ -140,6 +140,13 @@ class TestVlt1Format:
         with pytest.raises(TruncatedPayloadError):
             load_tokens(path)
 
+    @pytest.mark.parametrize("raw", [b"", b"V", b"VLT", b"VLT1", b"VLT1\x02\x00"])
+    def test_file_cut_inside_the_header_is_truncated(self, tmp_path, raw):
+        path = tmp_path / "m.vlt"
+        path.write_bytes(raw)
+        with pytest.raises(TruncatedPayloadError):
+            load_array(path)
+
     def test_zero_extent_raises_dimension_error(self, tmp_path):
         path = tmp_path / "m.vlt"
         # header says 0 x 1 with no payload

@@ -10,19 +10,21 @@ import pytest
 
 from anchorkit.core import ConfigError, NumericalError, TokenMatrix, seeded_rng
 from anchorkit.objective import (
+    DEGENERATE_MASS,
+    PRIOR_MODES,
     AnchorConfig,
+    _sim_matrix,
+    _top_k_mask,
     anchor_moments,
     contrastive_grad,
     contrastive_loss,
     cosine_sim,
     gaussian_kl_closed_form,
-    gaussian_prior_kl,
-    gaussian_prior_kl_grad,
+    gaussian_prior_value_and_grad,
     kl_uniform,
     kl_uniform_grad,
     pool_anchors,
     soft_assign,
-    top_k_select,
     total_loss,
 )
 
@@ -42,6 +44,16 @@ def fd_grad(fn, logits, h=1e-6):
 
 def rel_err(analytic, numeric):
     return np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
+
+
+def top_k_indices(r, anchor, k):
+    """One anchor row's top-k token set from the objective's mask, ascending."""
+    return np.flatnonzero(_top_k_mask(r, k)[anchor])
+
+
+def reference_top_k(row, k):
+    """Definitional top-k: sort by (-responsibility, token index)."""
+    return sorted(sorted(range(len(row)), key=lambda m: (-row[m], m))[:k])
 
 
 class TestSoftAssign:
@@ -164,26 +176,41 @@ class TestCosineSim:
 class TestTopK:
     def test_tie_breaks_to_lowest_index(self):
         r = np.array([[0.4, 0.4, 0.2]])
-        np.testing.assert_array_equal(top_k_select(r, 0, 1), [0])
+        np.testing.assert_array_equal(top_k_indices(r, 0, 1), [0])
 
     def test_two_of_three(self):
         r = np.array([[0.1, 0.7, 0.2]])
-        np.testing.assert_array_equal(top_k_select(r, 0, 2), [1, 2])
+        np.testing.assert_array_equal(top_k_indices(r, 0, 2), [1, 2])
 
     def test_k_equals_m(self):
         r = np.array([[0.1, 0.7, 0.2]])
-        np.testing.assert_array_equal(top_k_select(r, 0, 3), [0, 1, 2])
+        np.testing.assert_array_equal(top_k_indices(r, 0, 3), [0, 1, 2])
 
     def test_k_too_large(self):
         with pytest.raises(ConfigError):
-            top_k_select(np.ones((1, 3)) / 3, 0, 4)
+            top_k_indices(np.ones((1, 3)) / 3, 0, 4)
 
     def test_matches_full_sort(self):
         rng = seeded_rng(7)
         r = soft_assign(rng.standard_normal((4, 12)))
         for a in range(4):
             order = sorted(range(12), key=lambda m: (-r[a, m], m))
-            np.testing.assert_array_equal(top_k_select(r, a, 5), sorted(order[:5]))
+            np.testing.assert_array_equal(top_k_indices(r, a, 5), sorted(order[:5]))
+
+    @pytest.mark.parametrize("name,rows", [
+        ("all equal", np.full((3, 9), 0.25)),
+        ("exact zeros", np.array([[0.0, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, 0.0, -0.0],
+                                  [0.0] * 9,
+                                  [-0.0, 0.0] * 4 + [1.0]])),
+        ("quantised", np.round(seeded_rng(21).uniform(0, 1, (40, 16)) * 3) / 3),
+    ])
+    def test_tie_heavy_rows_match_reference(self, name, rows):
+        for k in range(1, rows.shape[1] + 1):
+            mask = _top_k_mask(rows, k)
+            for a, row in enumerate(rows):
+                np.testing.assert_array_equal(
+                    np.flatnonzero(mask[a]), reference_top_k(list(row), k), err_msg=f"{name}, k={k}"
+                )
 
 
 class TestContrastiveLoss:
@@ -212,7 +239,7 @@ class TestContrastiveLoss:
 
         total = 0.0
         for a in range(2):
-            positives = top_k_select(r, a, 2)
+            positives = top_k_indices(r, a, 2)
             for m in positives:
                 s_m = cosine_sim(c[a], z.data[m], cfg.sim_epsilon) / cfg.temperature
                 denom = sum(
@@ -290,27 +317,27 @@ class TestGaussianPriorKl:
         """Tokens at +1/-1 per dimension with equal weights: mean 0, var 1."""
         z = TokenMatrix(np.vstack([np.ones(3), -np.ones(3)]))
         r = np.full((2, 2), 0.5)
-        assert gaussian_prior_kl(r, z) == pytest.approx(0.0, abs=1e-12)
+        assert gaussian_prior_value_and_grad(r, z)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_mean_case(self):
         """mean 1, var 1, one dimension: value 1/2."""
         z = TokenMatrix([[0.0], [2.0]])
         r = np.array([[0.5, 0.5]])
-        assert gaussian_prior_kl(r, z) == pytest.approx(0.5, rel=1e-12)
+        assert gaussian_prior_value_and_grad(r, z)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_wide_variance_case(self):
         """mean 0, var 2, one dimension: (2 - 1 - ln 2)/2."""
         target = 0.5 * (2.0 - 1.0 - np.log(2.0))
         z = TokenMatrix([[np.sqrt(2.0)], [-np.sqrt(2.0)]])
         r = np.array([[0.5, 0.5]])
-        assert gaussian_prior_kl(r, z) == pytest.approx(target, rel=1e-12)
+        assert gaussian_prior_value_and_grad(r, z)[0] == pytest.approx(target, rel=1e-12)
 
     def test_nonnegative_and_zero_only_at_standard(self):
         rng = seeded_rng(13)
         for _ in range(25):
             z = TokenMatrix(rng.standard_normal((8, 3)))
             r = soft_assign(rng.standard_normal((2, 8)))
-            assert gaussian_prior_kl(r, z) >= 0.0
+            assert gaussian_prior_value_and_grad(r, z)[0] >= 0.0
 
     def test_closed_form_helper(self):
         assert gaussian_kl_closed_form(np.array([[1.0]]), np.array([[1.0]])) == pytest.approx(0.5)
@@ -323,7 +350,7 @@ class TestGaussianPriorKl:
         floor = 1e-6
         z = TokenMatrix(seeded_rng(14).standard_normal((3, 2)))
         r = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        value = gaussian_prior_kl(r, z, floor)
+        value = gaussian_prior_value_and_grad(r, z, floor)[0]
         means, variances, _, mass = anchor_moments(r, z, floor)
         assert mass[1] == 0.0
         prior_only = 0.5 * 2 * (floor - 1.0 - np.log(floor))
@@ -334,8 +361,8 @@ class TestGaussianPriorKl:
         rng = seeded_rng(15)
         z = TokenMatrix(rng.standard_normal((7, 3)))
         logits = rng.standard_normal((2, 7))
-        analytic = gaussian_prior_kl_grad(soft_assign(logits), z)
-        numeric = fd_grad(lambda l: gaussian_prior_kl(soft_assign(l), z), logits)
+        analytic = gaussian_prior_value_and_grad(soft_assign(logits), z)[1]
+        numeric = fd_grad(lambda l: gaussian_prior_value_and_grad(soft_assign(l), z)[0], logits)
         assert rel_err(analytic, numeric) < 1e-6
 
 
@@ -375,7 +402,7 @@ class TestTotalLoss:
         logits = rng.standard_normal((2, 6))
         cfg = AnchorConfig(n_anchors=2, top_k=2, kl_weight=0.2, prior_mode="gaussian")
         out = total_loss(logits, z, cfg)
-        assert out.regularizer == pytest.approx(gaussian_prior_kl(soft_assign(logits), z))
+        assert out.regularizer == pytest.approx(gaussian_prior_value_and_grad(soft_assign(logits), z)[0])
 
     def test_full_gradient_matches_finite_differences(self):
         rng = seeded_rng(20)
@@ -386,3 +413,109 @@ class TestTotalLoss:
             analytic = total_loss(logits, z, cfg).grad_logits
             numeric = fd_grad(lambda l: total_loss(l, z, cfg).total, logits)
             assert rel_err(analytic, numeric) < 1e-5
+
+
+def lexsort_top_k_mask(r, k):
+    """The per-anchor lexsort mask the partition mask replaced."""
+    mask = np.zeros_like(r, dtype=bool)
+    cols = np.arange(r.shape[1])
+    for a in range(r.shape[0]):
+        mask[a, np.lexsort((cols, -r[a]))[:k]] = True
+    return mask
+
+
+def softmax_backward(r, d_assignments):
+    return r * (d_assignments - (r * d_assignments).sum(axis=0, keepdims=True))
+
+
+def two_pass_total_loss(logits, z, cfg):
+    """Reference objective with separate value and gradient passes per term.
+
+    Each pass rebuilds its own similarity matrix, top-k mask, logs and
+    moments, as the objective did before its terms were merged; the
+    arithmetic of every pass is otherwise the same. Returns
+    (total, contrastive, regularizer, grad_logits).
+    """
+    r = soft_assign(logits)
+    anchors = pool_anchors(r, z)
+
+    sims, _, _, _ = _sim_matrix(anchors, z, cfg.sim_epsilon)
+    scaled = sims / cfg.temperature
+    mask = lexsort_top_k_mask(r, cfg.top_k)
+    row_max = scaled.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(scaled - row_max).sum(axis=1)) + row_max[:, 0]
+    contrast = float((lse - (scaled * mask).sum(axis=1) / cfg.top_k).sum())
+
+    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, z, cfg.sim_epsilon)
+    scaled = sims / cfg.temperature
+    mask = lexsort_top_k_mask(r, cfg.top_k)
+    row_max = scaled.max(axis=1, keepdims=True)
+    expd = np.exp(scaled - row_max)
+    softmax = expd / expd.sum(axis=1, keepdims=True)
+    w_direct = (softmax - mask / cfg.top_k) / cfg.temperature / denom
+    d_anchors = w_direct @ z.data
+    beta = (w_direct * sims * token_norms[None, :]).sum(axis=1)
+    d_anchors -= (beta / np.maximum(anchor_norms, 1e-300))[:, None] * anchors
+    grad = softmax_backward(r, d_anchors @ z.data.T)
+
+    if cfg.prior_mode == "categorical":
+        live = r > 0
+        terms = np.zeros_like(r)
+        terms[live] = r[live] * np.log(r[live] * r.shape[0])
+        reg = float(terms.sum())
+        u = np.zeros_like(r)
+        u[live] = np.log(r[live] * r.shape[0]) + 1.0
+        reg_grad = softmax_backward(r, u)
+        if cfg.kl_mean_normalized:
+            reg /= r.shape[1]
+            reg_grad /= r.shape[1]
+    elif cfg.prior_mode == "gaussian":
+        means, variances, _, _ = anchor_moments(r, z, cfg.variance_floor)
+        reg = gaussian_kl_closed_form(means, variances)
+        means, variances, raw_var, mass = anchor_moments(r, z, cfg.variance_floor)
+        ok = mass >= DEGENERATE_MASS
+        d_var = np.where(raw_var > cfg.variance_floor, 0.5 * (1.0 - 1.0 / variances), 0.0)
+        const = -(means**2).sum(axis=1) + (d_var * (means**2 - raw_var)).sum(axis=1)
+        per_token = (
+            means @ z.data.T + d_var @ (z.data**2).T - 2.0 * (d_var * means) @ z.data.T
+        ) + const[:, None]
+        per_token /= np.where(ok, mass, 1.0)[:, None]
+        reg_grad = softmax_backward(r, np.where(ok[:, None], per_token, 0.0))
+    else:
+        reg, reg_grad = 0.0, None
+    if reg_grad is not None and cfg.kl_weight != 0.0:
+        grad = grad + cfg.kl_weight * reg_grad
+    return contrast + cfg.kl_weight * reg, contrast, reg, grad
+
+
+class TestSinglePass:
+    """total_loss computes each term once and still matches the two-pass
+    reference bit for bit, tie-heavy assignments included."""
+
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    @pytest.mark.parametrize("mean_normalized", [False, True])
+    @pytest.mark.parametrize("quantised", [False, True])
+    def test_total_loss_equals_two_pass_reference(self, mode, mean_normalized, quantised):
+        rng = seeded_rng(22)
+        z = TokenMatrix(rng.standard_normal((48, 5)))
+        logits = rng.standard_normal((6, 48))
+        if quantised:  # repeated logit columns tie responsibilities at the top-k cut
+            logits = np.tile(np.round(logits[:, :8]), 6)
+        cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode,
+                           kl_mean_normalized=mean_normalized)
+        out = total_loss(logits, z, cfg)
+        total, contrast, reg, grad = two_pass_total_loss(logits, z, cfg)
+        np.testing.assert_array_equal(out.total, total)
+        np.testing.assert_array_equal(out.contrastive, contrast)
+        np.testing.assert_array_equal(out.regularizer, reg)
+        np.testing.assert_array_equal(out.grad_logits, grad)
+
+    def test_partition_mask_equals_lexsort_mask(self):
+        rng = seeded_rng(23)
+        for trial in range(50):
+            a, m = rng.integers(1, 9), rng.integers(1, 60)
+            r = rng.uniform(0, 1, (a, m))
+            if trial % 2:
+                r = np.round(r * 3) / 3
+            for k in range(1, m + 1):
+                np.testing.assert_array_equal(_top_k_mask(r, k), lexsort_top_k_mask(r, k))
