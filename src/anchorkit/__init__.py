@@ -54,6 +54,7 @@ from .core import (
     Provenance,
     TokenMatrix,
     TruncatedPayloadError,
+    ZeroExtentError,
     flatten,
     load_array,
     load_latent,

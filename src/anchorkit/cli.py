@@ -15,7 +15,6 @@ produces byte-identical artifact files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import os
 import sys
@@ -98,14 +97,15 @@ OPTIONS: dict[str, list[Opt]] = {
     "train": [
         Opt("input", str, None, "token matrix (.vlt) to train on"),
         Opt("steps", int, 500, "optimization steps"),
-        Opt("log_every", int, 50, "record every N steps"),
-        Opt("anchors", int, 512, "anchor count"),
-        Opt("top_k", int, 8, "contrastive positives per anchor"),
-        Opt("temperature", float, 0.1, "contrastive temperature"),
-        Opt("lambda_vi", float, 0.1, "regularizer weight"),
-        Opt("prior", str, "categorical", f"one of {'|'.join(PRIOR_MODES)}"),
-        Opt("lr", float, 1e-4, "Adam learning rate"),
-        Opt("hidden", _parse_int_list, (128, 128), "hidden widths, comma separated"),
+        Opt("log_every", int, compressor.TrainConfig.log_every, "record every N steps"),
+        Opt("anchors", int, AnchorConfig.n_anchors, "anchor count"),
+        Opt("top_k", int, AnchorConfig.top_k, "contrastive positives per anchor"),
+        Opt("temperature", float, AnchorConfig.temperature, "contrastive temperature"),
+        Opt("lambda_vi", float, AnchorConfig.kl_weight, "regularizer weight (0 turns it off)"),
+        Opt("prior", str, AnchorConfig.prior_mode, f"one of {'|'.join(PRIOR_MODES)}"),
+        Opt("lr", float, assignnet.AdamParams.learning_rate, "Adam learning rate"),
+        Opt("hidden", _parse_int_list, compressor.TrainConfig.hidden_dims,
+            "hidden widths, comma separated"),
         Opt("subsample", int, None, "tokens sampled per step (default full batch)"),
         Opt("resume", str, None, "checkpoint to continue from"),
         Opt("checkpoint", str, None, "checkpoint output path"),
@@ -126,7 +126,6 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("proj_dim", int, 64, "projected dimension"),
         Opt("modes", _parse_str_list, ("full", "anchor"), "kernels to time"),
         Opt("repeats", int, 3, "timings per point; best is kept"),
-        Opt("single_thread", _parse_bool, False, "pin BLAS pools to one thread", True),
         Opt("out", str, None, "benchmark CSV output path"),
         _COMMON_SEED,
     ],
@@ -207,21 +206,6 @@ def _echo_config(command: str, resolved: dict) -> None:
         print(f"config {command}.{key} = {resolved[key]}", file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _thread_limit(single_thread: bool):
-    if not single_thread:
-        yield
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        print("warning: threadpoolctl unavailable; thread pinning skipped", file=sys.stderr)
-        yield
-        return
-    with threadpoolctl.threadpool_limits(1):
-        yield
-
-
 def cmd_gen(cfg: dict) -> int:
     if cfg["mixture"] == cfg["drift"]:
         raise ConfigError("pass exactly one of --mixture / --drift")
@@ -282,10 +266,10 @@ def _train_config(cfg: dict) -> compressor.TrainConfig:
 
 
 def cmd_train(cfg: dict) -> int:
+    train_cfg = _train_config(cfg)  # reject bad settings before reading any input
     if not cfg["input"]:
         raise ConfigError("--input is required")
     tokens = load_tokens(cfg["input"])
-    train_cfg = _train_config(cfg)
     net = None
     base_steps = 0
     if cfg["resume"]:
@@ -343,21 +327,20 @@ def cmd_bench(cfg: dict) -> int:
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
     proj = attention.init_projection(c, d, seed=cfg["seed"])
     rows = []
-    with _thread_limit(cfg["single_thread"]):
-        for m in cfg["m_values"]:
-            tokens = TokenMatrix(rng.standard_normal((m, c)))
-            anchors = rng.standard_normal((a, c))
-            for mode in cfg["modes"]:
-                if mode == "full":
-                    fn = lambda: attention.full_attention(tokens, proj)
-                elif mode == "anchor":
-                    fn = lambda: attention.anchor_attention(tokens, anchors, proj)
-                else:
-                    raise ConfigError(f"unknown bench mode {mode!r}")
-                wall_ns = _time_best(fn, cfg["repeats"])
-                flops = attention.flop_count(m, a, c, d, mode)
-                rows.append((mode, m, a, c, d, wall_ns, flops))
-                print(f"bench mode={mode} M={m} wall_ns={wall_ns} flops={flops}")
+    for m in cfg["m_values"]:
+        tokens = TokenMatrix(rng.standard_normal((m, c)))
+        anchors = rng.standard_normal((a, c))
+        for mode in cfg["modes"]:
+            if mode == "full":
+                fn = lambda: attention.full_attention(tokens, proj)
+            elif mode == "anchor":
+                fn = lambda: attention.anchor_attention(tokens, anchors, proj)
+            else:
+                raise ConfigError(f"unknown bench mode {mode!r}")
+            wall_ns = _time_best(fn, cfg["repeats"])
+            flops = attention.flop_count(m, a, c, d, mode)
+            rows.append((mode, m, a, c, d, wall_ns, flops))
+            print(f"bench mode={mode} M={m} wall_ns={wall_ns} flops={flops}")
     if cfg["out"]:
         with open(cfg["out"], "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -56,6 +56,10 @@ class ExtentOverflowError(FormatError):
     """Declared extents exceed the supported element budget."""
 
 
+class ZeroExtentError(FormatError, DimensionError):
+    """Header declares an axis of length zero."""
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Return a PCG64 generator for ``seed``.
 
@@ -212,7 +216,7 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     shape = struct.unpack_from(f"<{rank}I", buf, offset)
     offset += 4 * rank
     if any(e == 0 for e in shape):
-        raise DimensionError(f"zero extent in header: {shape}")
+        raise ZeroExtentError(f"zero extent in header: {shape}")
     count = 1
     for e in shape:
         count *= e
@@ -223,7 +227,7 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
         raise TruncatedPayloadError(
             f"payload needs {nbytes} bytes, {len(buf) - offset} remain"
         )
-    flat = np.frombuffer(buf[offset : offset + nbytes], dtype="<f4")
+    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
     arr = flat.reshape(shape).astype(np.float64)
     return arr, offset + nbytes
 

@@ -7,8 +7,8 @@ of the tokens. Training balances two forces:
 * a top-k contrastive term that pulls every anchor toward the tokens most
   responsible for it and away from the rest, and
 * a divergence penalty that keeps assignments from collapsing onto a few
-  anchors (categorical-to-uniform by default, a Gaussian moment-matching
-  variant for ablations, or none).
+  anchors (categorical-to-uniform by default, or a Gaussian
+  moment-matching variant for ablations); a zero weight turns it off.
 
 Each term has one ``*_value_and_grad`` function that shares its work
 between the value and the gradient; ``total_loss`` calls each once per
@@ -30,10 +30,14 @@ import numpy as np
 
 from .core import ConfigError, DimensionError, NumericalError, TokenMatrix
 
-PRIOR_MODES = ("none", "categorical", "gaussian")
+PRIOR_MODES = ("categorical", "gaussian")
 
 # responsibility mass below which an anchor is treated as unused
 DEGENERATE_MASS = 1e-12
+# added to cosine-similarity denominators so zero-norm inputs stay finite
+SIM_EPSILON = 1e-8
+# lower bound on the Gaussian prior's per-anchor variances
+VARIANCE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,7 @@ class AnchorConfig:
     the defaults are the common contrastive-learning scale (0.1) and a
     regularizer weight small enough not to dominate. ``n_anchors``
     defaults to the production setting of 512 but is always overridable.
+    ``kl_weight = 0`` turns the regularizer off.
     """
 
     n_anchors: int = 512
@@ -51,9 +56,6 @@ class AnchorConfig:
     temperature: float = 0.1
     kl_weight: float = 0.1
     prior_mode: str = "categorical"
-    sim_epsilon: float = 1e-8
-    variance_floor: float = 1e-6
-    kl_mean_normalized: bool = False
 
     def __post_init__(self):
         if self.n_anchors < 1:
@@ -68,8 +70,6 @@ class AnchorConfig:
             raise ConfigError(
                 f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}"
             )
-        if not self.sim_epsilon > 0 or not self.variance_floor > 0:
-            raise ConfigError("sim_epsilon and variance_floor must be > 0")
 
 
 def soft_assign(logits: np.ndarray) -> np.ndarray:
@@ -102,13 +102,12 @@ def pool_anchors(assignments: np.ndarray, tokens: TokenMatrix) -> np.ndarray:
     return r @ tokens.data
 
 
-def kl_uniform_value_and_grad(assignments: np.ndarray,
-                              mean_normalized: bool = False) -> tuple[float, np.ndarray]:
+def kl_uniform_value_and_grad(assignments: np.ndarray) -> tuple[float, np.ndarray]:
     """Total divergence of the per-token assignments from uniform, and its
     logit gradient, exact through the column softmax.
 
-    Per token: sum_a r * log(r * A), with 0 * log 0 = 0. Summed over all
-    tokens by default; ``mean_normalized`` divides by the token count.
+    Per token: sum_a r * log(r * A), with 0 * log 0 = 0, summed over all
+    tokens.
     """
     r = np.asarray(assignments, dtype=np.float64)
     mask = r > 0
@@ -116,34 +115,30 @@ def kl_uniform_value_and_grad(assignments: np.ndarray,
     np.log(r * r.shape[0], out=log_ratio, where=mask)
     value = float((r * log_ratio).sum())
     log_ratio += mask  # d(value)/dr: log(r * A) + 1 where r > 0, else 0
-    grad = _softmax_backward(r, log_ratio)
-    if mean_normalized:
-        value /= r.shape[1]
-        grad /= r.shape[1]
-    return value, grad
+    return value, _softmax_backward(r, log_ratio)
 
 
-def kl_uniform(assignments: np.ndarray, mean_normalized: bool = False) -> float:
+def kl_uniform(assignments: np.ndarray) -> float:
     """The value of :func:`kl_uniform_value_and_grad`."""
-    return kl_uniform_value_and_grad(assignments, mean_normalized)[0]
+    return kl_uniform_value_and_grad(assignments)[0]
 
 
-def kl_uniform_grad(assignments: np.ndarray, mean_normalized: bool = False) -> np.ndarray:
+def kl_uniform_grad(assignments: np.ndarray) -> np.ndarray:
     """The gradient of :func:`kl_uniform_value_and_grad`."""
-    return kl_uniform_value_and_grad(assignments, mean_normalized)[1]
+    return kl_uniform_value_and_grad(assignments)[1]
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray, sim_epsilon: float = 1e-8) -> float:
+def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """u.v / (|u| |v| + eps); the epsilon guards zero-norm inputs."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:
         raise DimensionError(f"vector lengths differ: {u.shape} vs {v.shape}")
-    denom = np.linalg.norm(u) * np.linalg.norm(v) + sim_epsilon
+    denom = np.linalg.norm(u) * np.linalg.norm(v) + SIM_EPSILON
     return float(u @ v / denom)
 
 
-def _sim_matrix(anchors: np.ndarray, tokens: TokenMatrix, sim_epsilon: float):
+def _sim_matrix(anchors: np.ndarray, tokens: TokenMatrix):
     """Cosine similarities of every anchor against every token.
 
     Returns (sims, denom, anchor_norms, token_norms) so gradient code can
@@ -152,7 +147,7 @@ def _sim_matrix(anchors: np.ndarray, tokens: TokenMatrix, sim_epsilon: float):
     z = tokens.data
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
-    denom = anchor_norms[:, None] * token_norms[None, :] + sim_epsilon
+    denom = anchor_norms[:, None] * token_norms[None, :] + SIM_EPSILON
     sims = (anchors @ z.T) / denom
     return sims, denom, anchor_norms, token_norms
 
@@ -198,7 +193,7 @@ def contrastive_value_and_grad(
     mask are built once and shared by the value and the gradient.
     """
     z = tokens.data
-    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, tokens, cfg.sim_epsilon)
+    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, tokens)
     scaled = sims / cfg.temperature
     mask = _top_k_mask(assignments, cfg.top_k)
 
@@ -263,11 +258,7 @@ def gaussian_kl_closed_form(mean: np.ndarray, variance: np.ndarray) -> float:
     return float(0.5 * (variance + mean**2 - 1.0 - np.log(variance)).sum())
 
 
-def anchor_moments(
-    assignments: np.ndarray,
-    tokens: TokenMatrix,
-    variance_floor: float = 1e-6,
-):
+def anchor_moments(assignments: np.ndarray, tokens: TokenMatrix):
     """Responsibility-weighted mean and variance of the tokens per anchor.
 
     Returns (means, floored variances, raw variances, mass) where mass is
@@ -287,15 +278,13 @@ def anchor_moments(
     second = (r @ z**2) / safe_mass[:, None]
     raw_var = second - means**2
     means = np.where(ok[:, None], means, 0.0)
-    raw_var = np.where(ok[:, None], raw_var, variance_floor)
-    variances = np.maximum(raw_var, variance_floor)
+    raw_var = np.where(ok[:, None], raw_var, VARIANCE_FLOOR)
+    variances = np.maximum(raw_var, VARIANCE_FLOOR)
     return means, variances, raw_var, mass
 
 
 def gaussian_prior_value_and_grad(
-    assignments: np.ndarray,
-    tokens: TokenMatrix,
-    variance_floor: float = 1e-6,
+    assignments: np.ndarray, tokens: TokenMatrix
 ) -> tuple[float, np.ndarray]:
     """Gaussian-prior regularizer over the anchor space, and its logit gradient.
 
@@ -311,13 +300,13 @@ def gaussian_prior_value_and_grad(
     """
     r = np.asarray(assignments, dtype=np.float64)
     z = tokens.data
-    means, variances, raw_var, mass = anchor_moments(assignments, tokens, variance_floor)
+    means, variances, raw_var, mass = anchor_moments(assignments, tokens)
     value = gaussian_kl_closed_form(means, variances)
     ok = mass >= DEGENERATE_MASS
     safe_mass = np.where(ok, mass, 1.0)
 
     # dKL/dvar through the floor: zero where the floor is active
-    active = raw_var > variance_floor
+    active = raw_var > VARIANCE_FLOOR
     d_var = np.where(active, 0.5 * (1.0 - 1.0 / variances), 0.0)
 
     # Per-responsibility derivative, with dmean_i/dw_m = (z_mi - mean_i)/mass
@@ -352,19 +341,19 @@ class ObjectiveValue:
 def total_loss(logits: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> ObjectiveValue:
     """Contrastive term plus the weighted prior regularizer, with gradient.
 
-    ``prior_mode`` picks the regularizer: categorical-to-uniform,
-    Gaussian moment matching, or none (identical to kl_weight = 0).
+    ``prior_mode`` picks the regularizer: categorical-to-uniform or
+    Gaussian moment matching. At ``kl_weight = 0`` no regularizer is
+    evaluated and ``regularizer`` is 0.0.
     """
     assignments = soft_assign(logits)
     anchors = pool_anchors(assignments, tokens)
     contrast, grad = contrastive_value_and_grad(anchors, tokens, assignments, cfg)
-    if cfg.prior_mode == "categorical":
-        reg, reg_grad = kl_uniform_value_and_grad(assignments, cfg.kl_mean_normalized)
-    elif cfg.prior_mode == "gaussian":
-        reg, reg_grad = gaussian_prior_value_and_grad(assignments, tokens, cfg.variance_floor)
-    else:
-        reg, reg_grad = 0.0, None
-    if reg_grad is not None and cfg.kl_weight != 0.0:
+    reg = 0.0
+    if cfg.kl_weight != 0.0:
+        if cfg.prior_mode == "categorical":
+            reg, reg_grad = kl_uniform_value_and_grad(assignments)
+        else:
+            reg, reg_grad = gaussian_prior_value_and_grad(assignments, tokens)
         grad += cfg.kl_weight * reg_grad
     total = contrast + cfg.kl_weight * reg
     return ObjectiveValue(total, contrast, reg, grad, assignments, anchors)

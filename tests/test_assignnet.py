@@ -224,3 +224,16 @@ class TestCheckpoint:
         path.write_bytes(raw.replace(old, new))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_stored_weight_raises_format_error(self, tmp_path, value):
+        net = init_network(3, 2, hidden_dims=(4,), seed=4)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, 5)
+        raw = bytearray(path.read_bytes())
+        # the first weight's payload follows the manifest, its magic, rank and 2 extents
+        first = raw.index(b"\nend\n") + len(b"\nend\n") + 4 + 4 + 2 * 4
+        raw[first : first + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

@@ -1,12 +1,15 @@
 """End-to-end command-line contracts: exit codes, artifacts, determinism."""
 
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
-from anchorkit.cli import main
+from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.core import load_array, load_tokens
 from anchorkit.attention import flop_count
 
@@ -68,14 +71,14 @@ class TestTrain:
         _, steps = load_checkpoint(ckpt)
         assert steps == 1
 
-    def test_prior_none_equals_lambda_zero(self, tmp_path, tokens_file):
-        rep_a = tmp_path / "a.csv"
-        rep_b = tmp_path / "b.csv"
-        base = ["train", "--input", str(tokens_file), "--steps", "6", "--log-every", "2",
-                "--anchors", "4", "--hidden", "8", "--seed", "2"]
-        assert run_cli(*base, "--prior", "none", "--report", str(rep_a)) == 0
-        assert run_cli(*base, "--lambda-vi", "0", "--report", str(rep_b)) == 0
-        assert rep_a.read_text() == rep_b.read_text()
+    def test_prior_none_rejected_before_reading_input(self, tmp_path, capsys):
+        """A zero --lambda-vi is the one way to turn the regularizer off;
+        the bad mode is reported, not the missing input file."""
+        code = run_cli("train", "--input", str(tmp_path / "missing.vlt"), "--prior", "none")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "categorical" in err and "gaussian" in err
+        assert "missing.vlt" not in err
 
     @pytest.mark.parametrize("steps,log_every", [(10, 3), (8, 4), (5, 50)])
     def test_report_row_count(self, tmp_path, tokens_file, steps, log_every):
@@ -281,6 +284,32 @@ class TestSeedEnvFallback:
         monkeypatch.setenv("ANCHOR_SEED", "77")
         assert run_cli("ddim", "--steps", "2", "--seed", "5") == 0
         assert "config ddim.seed = 5" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every ``anchorkit`` command in the README's ``sh`` blocks, continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"[A-Z_]+=\S*", words[0]):
+                words.pop(0)  # environment assignments
+            if words and words[0] == "anchorkit":
+                commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_cli_examples_parse(self, capsys):
+        commands = readme_commands()
+        assert {words[0] for words in commands} == set(OPTIONS)
+        for words in commands:
+            try:
+                args = build_parser().parse_args(words)
+            except SystemExit:
+                pytest.fail(f"README example {words} does not parse: {capsys.readouterr().err}")
+            resolve_options(args.command, args)  # every value converts
 
 
 class TestUsage:

@@ -154,6 +154,12 @@ class TestVlt1Format:
         with pytest.raises(DimensionError):
             load_tokens(path)
 
+    def test_zero_extent_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.vlt"
+        path.write_bytes(b"VLT1" + b"\x02\x00\x00\x00" + b"\x00\x00\x00\x00\x01\x00\x00\x00")
+        with pytest.raises(FormatError):
+            load_array(path)
+
     def test_extent_overflow_raises(self, tmp_path):
         path = tmp_path / "m.vlt"
         huge = (0xFFFFFFFF).to_bytes(4, "little")

@@ -8,16 +8,19 @@ loss), at points where the top-k selections are stable under the probe.
 import numpy as np
 import pytest
 
+from anchorkit import objective
 from anchorkit.core import ConfigError, NumericalError, TokenMatrix, seeded_rng
 from anchorkit.objective import (
     DEGENERATE_MASS,
     PRIOR_MODES,
+    VARIANCE_FLOOR,
     AnchorConfig,
     _sim_matrix,
     _top_k_mask,
     anchor_moments,
     contrastive_grad,
     contrastive_loss,
+    contrastive_value_and_grad,
     cosine_sim,
     gaussian_kl_closed_form,
     gaussian_prior_value_and_grad,
@@ -136,11 +139,6 @@ class TestKlUniform:
         per_token = sum(kl_uniform(r[:, m : m + 1]) for m in range(40))
         np.testing.assert_allclose(value, per_token, rtol=1e-12)
 
-    def test_mean_normalized_variant(self):
-        rng = seeded_rng(5)
-        r = soft_assign(rng.standard_normal((4, 10)))
-        np.testing.assert_allclose(kl_uniform(r, True), kl_uniform(r) / 10.0, rtol=1e-12)
-
 
 class TestKlUniformGrad:
     def test_uniform_is_stationary(self):
@@ -241,9 +239,9 @@ class TestContrastiveLoss:
         for a in range(2):
             positives = top_k_indices(r, a, 2)
             for m in positives:
-                s_m = cosine_sim(c[a], z.data[m], cfg.sim_epsilon) / cfg.temperature
+                s_m = cosine_sim(c[a], z.data[m]) / cfg.temperature
                 denom = sum(
-                    np.exp(cosine_sim(c[a], z.data[mp], cfg.sim_epsilon) / cfg.temperature)
+                    np.exp(cosine_sim(c[a], z.data[mp]) / cfg.temperature)
                     for mp in range(4)
                 )
                 total += -np.log(np.exp(s_m) / denom) / 2
@@ -252,7 +250,7 @@ class TestContrastiveLoss:
     def test_token_rescale_invariance(self):
         """Scaling all tokens rescales anchors too; cosine terms unchanged.
 
-        The sim_epsilon guard leaves an O(eps / norm-product) residual, so
+        The SIM_EPSILON guard leaves an O(eps / norm-product) residual, so
         the instance keeps anchor norms away from zero (offset tokens).
         """
         rng = seeded_rng(9)
@@ -268,7 +266,7 @@ class TestContrastiveLoss:
 class TestContrastiveGrad:
     def test_identical_tokens_give_negligible_gradient(self):
         """With all tokens equal the loss is symmetric in the assignments;
-        only the sim_epsilon guard leaves a vanishing residual."""
+        only the SIM_EPSILON guard leaves a vanishing residual."""
         z = TokenMatrix(np.tile([1.0, -2.0, 0.5], (5, 1)))
         cfg = AnchorConfig(n_anchors=3, top_k=2)
         logits = seeded_rng(10).standard_normal((3, 5))
@@ -347,11 +345,11 @@ class TestGaussianPriorKl:
 
     def test_degenerate_anchor_prior_only_value(self):
         """A zero-mass anchor contributes the mean-0, floored-variance constant."""
-        floor = 1e-6
+        floor = VARIANCE_FLOOR
         z = TokenMatrix(seeded_rng(14).standard_normal((3, 2)))
         r = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        value = gaussian_prior_value_and_grad(r, z, floor)[0]
-        means, variances, _, mass = anchor_moments(r, z, floor)
+        value = gaussian_prior_value_and_grad(r, z)[0]
+        means, variances, _, mass = anchor_moments(r, z)
         assert mass[1] == 0.0
         prior_only = 0.5 * 2 * (floor - 1.0 - np.log(floor))
         live = gaussian_kl_closed_form(means[:1], variances[:1])
@@ -377,14 +375,23 @@ class TestTotalLoss:
         assert out.total == pytest.approx(contrastive_loss(pool_anchors(r, z), z, r, cfg))
         np.testing.assert_array_equal(out.grad_logits, contrastive_grad(pool_anchors(r, z), z, r, cfg))
 
-    def test_prior_none_equals_zero_weight(self):
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    def test_zero_weight_evaluates_no_regularizer(self, mode, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("regularizer evaluated at kl_weight = 0")
+
+        monkeypatch.setattr(objective, "kl_uniform_value_and_grad", refuse)
+        monkeypatch.setattr(objective, "gaussian_prior_value_and_grad", refuse)
         rng = seeded_rng(17)
         z = TokenMatrix(rng.standard_normal((5, 3)))
         logits = rng.standard_normal((2, 5))
-        none = total_loss(logits, z, AnchorConfig(n_anchors=2, top_k=2, prior_mode="none"))
-        zeroed = total_loss(logits, z, AnchorConfig(n_anchors=2, top_k=2, kl_weight=0.0))
-        assert none.total == zeroed.total
-        np.testing.assert_array_equal(none.grad_logits, zeroed.grad_logits)
+        cfg = AnchorConfig(n_anchors=2, top_k=2, kl_weight=0.0, prior_mode=mode)
+        out = total_loss(logits, z, cfg)
+        r = soft_assign(logits)
+        contrast, grad = contrastive_value_and_grad(pool_anchors(r, z), z, r, cfg)
+        assert out.regularizer == 0.0
+        np.testing.assert_array_equal(out.total, contrast)
+        np.testing.assert_array_equal(out.grad_logits, grad)
 
     def test_decomposition_matches_separate_calls(self):
         rng = seeded_rng(18)
@@ -408,7 +415,7 @@ class TestTotalLoss:
         rng = seeded_rng(20)
         z = TokenMatrix(rng.standard_normal((8, 4)))
         logits = rng.standard_normal((3, 8))
-        for mode in ("categorical", "gaussian", "none"):
+        for mode in PRIOR_MODES:
             cfg = AnchorConfig(n_anchors=3, top_k=2, kl_weight=0.3, prior_mode=mode)
             analytic = total_loss(logits, z, cfg).grad_logits
             numeric = fd_grad(lambda l: total_loss(l, z, cfg).total, logits)
@@ -439,14 +446,14 @@ def two_pass_total_loss(logits, z, cfg):
     r = soft_assign(logits)
     anchors = pool_anchors(r, z)
 
-    sims, _, _, _ = _sim_matrix(anchors, z, cfg.sim_epsilon)
+    sims, _, _, _ = _sim_matrix(anchors, z)
     scaled = sims / cfg.temperature
     mask = lexsort_top_k_mask(r, cfg.top_k)
     row_max = scaled.max(axis=1, keepdims=True)
     lse = np.log(np.exp(scaled - row_max).sum(axis=1)) + row_max[:, 0]
     contrast = float((lse - (scaled * mask).sum(axis=1) / cfg.top_k).sum())
 
-    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, z, cfg.sim_epsilon)
+    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, z)
     scaled = sims / cfg.temperature
     mask = lexsort_top_k_mask(r, cfg.top_k)
     row_max = scaled.max(axis=1, keepdims=True)
@@ -466,25 +473,19 @@ def two_pass_total_loss(logits, z, cfg):
         u = np.zeros_like(r)
         u[live] = np.log(r[live] * r.shape[0]) + 1.0
         reg_grad = softmax_backward(r, u)
-        if cfg.kl_mean_normalized:
-            reg /= r.shape[1]
-            reg_grad /= r.shape[1]
-    elif cfg.prior_mode == "gaussian":
-        means, variances, _, _ = anchor_moments(r, z, cfg.variance_floor)
+    else:
+        means, variances, _, _ = anchor_moments(r, z)
         reg = gaussian_kl_closed_form(means, variances)
-        means, variances, raw_var, mass = anchor_moments(r, z, cfg.variance_floor)
+        means, variances, raw_var, mass = anchor_moments(r, z)
         ok = mass >= DEGENERATE_MASS
-        d_var = np.where(raw_var > cfg.variance_floor, 0.5 * (1.0 - 1.0 / variances), 0.0)
+        d_var = np.where(raw_var > VARIANCE_FLOOR, 0.5 * (1.0 - 1.0 / variances), 0.0)
         const = -(means**2).sum(axis=1) + (d_var * (means**2 - raw_var)).sum(axis=1)
         per_token = (
             means @ z.data.T + d_var @ (z.data**2).T - 2.0 * (d_var * means) @ z.data.T
         ) + const[:, None]
         per_token /= np.where(ok, mass, 1.0)[:, None]
         reg_grad = softmax_backward(r, np.where(ok[:, None], per_token, 0.0))
-    else:
-        reg, reg_grad = 0.0, None
-    if reg_grad is not None and cfg.kl_weight != 0.0:
-        grad = grad + cfg.kl_weight * reg_grad
+    grad = grad + cfg.kl_weight * reg_grad
     return contrast + cfg.kl_weight * reg, contrast, reg, grad
 
 
@@ -493,16 +494,14 @@ class TestSinglePass:
     reference bit for bit, tie-heavy assignments included."""
 
     @pytest.mark.parametrize("mode", PRIOR_MODES)
-    @pytest.mark.parametrize("mean_normalized", [False, True])
     @pytest.mark.parametrize("quantised", [False, True])
-    def test_total_loss_equals_two_pass_reference(self, mode, mean_normalized, quantised):
+    def test_total_loss_equals_two_pass_reference(self, mode, quantised):
         rng = seeded_rng(22)
         z = TokenMatrix(rng.standard_normal((48, 5)))
         logits = rng.standard_normal((6, 48))
         if quantised:  # repeated logit columns tie responsibilities at the top-k cut
             logits = np.tile(np.round(logits[:, :8]), 6)
-        cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode,
-                           kl_mean_normalized=mean_normalized)
+        cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode)
         out = total_loss(logits, z, cfg)
         total, contrast, reg, grad = two_pass_total_loss(logits, z, cfg)
         np.testing.assert_array_equal(out.total, total)
