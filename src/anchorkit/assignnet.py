@@ -87,8 +87,8 @@ class AdamParams:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ variant where keys and values come from a small anchor set while queries
 still come from every token. The exact multiply-accumulate counts of both
 are exposed so benchmarks can report measured time against predicted
 work.
+
+The core walks the queries in row tiles whose scores fit in one reused
+buffer of about ``_TILE_BYTES``, so a call holds one score tile plus
+O(M*d) memory for its projections and output, never the M x N score
+matrix. Each tile is normalised after the value product, which divides
+M*d entries instead of M*N, and its output overwrites its query rows.
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, LatentTensor, TokenMatrix, seeded_rng
+from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix, seeded_rng
 
-# rows of the score matrix processed at a time; bounds peak memory at
-# _ROW_BLOCK * n_keys without changing results
-_ROW_BLOCK = 2048
+# bytes of the one score buffer a call reuses for every row tile: big
+# enough for efficient matrix products (128 rows at 8192 keys), small
+# enough that the max, exp and sum passes stay in cache, not main memory
+_TILE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -75,22 +82,37 @@ def unalign(aligned: np.ndarray, height: int, width: int) -> LatentTensor:
     return LatentTensor(aligned.reshape(height, width, l, c).transpose(2, 3, 0, 1))
 
 
+def _exp_shifted(scores: np.ndarray) -> np.ndarray:
+    """exp(scores - row max) in place: unnormalised softmax rows."""
+    scores -= scores.max(axis=1, keepdims=True)
+    return np.exp(scores, out=scores)
+
+
 def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Row-stochastic weights softmax(Q K^T / sqrt(d)), max-subtracted."""
-    d = queries.shape[1]
-    scores = (queries @ keys.T) / np.sqrt(d)
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return scores
+    weights = _exp_shifted((queries / np.sqrt(queries.shape[1])) @ keys.T)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
 
 
 def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.empty((queries.shape[0], values.shape[1]))
-    for start in range(0, queries.shape[0], _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        out[block] = attention_weights(queries[block], keys) @ values
-    return out
+    """softmax(Q K^T / sqrt(d)) V, one row tile at a time.
+
+    Works in the buffer of ``queries``, so callers pass a fresh projection:
+    it is scaled in place, and each tile's output rows overwrite the query
+    rows they were computed from. Values must have the queries' width.
+    """
+    m, n = queries.shape[0], keys.shape[0]
+    queries /= np.sqrt(queries.shape[1])
+    rows = max(1, _TILE_BYTES // (8 * n))
+    scores = np.empty((min(rows, m), n))
+    for start in range(0, m, rows):
+        tile = slice(start, start + rows)
+        weights = scores[: min(rows, m - start)]
+        _exp_shifted(np.matmul(queries[tile], keys.T, out=weights))
+        np.matmul(weights, values, out=queries[tile])
+        queries[tile] /= weights.sum(axis=1, keepdims=True)
+    return queries
 
 
 def full_attention(tokens: TokenMatrix, proj: AttentionProjection) -> TokenMatrix:
@@ -117,10 +139,12 @@ def anchor_attention(
         raise DimensionError(
             f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
         )
-    if anchors.ndim != 2 or anchors.shape[1] != tokens.num_channels:
+    if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != tokens.num_channels:
         raise DimensionError(
-            f"anchors must be (n, {tokens.num_channels}), got {anchors.shape}"
+            f"anchors must be (n >= 1, {tokens.num_channels}), got {anchors.shape}"
         )
+    if not np.isfinite(anchors).all():
+        raise NumericalError("anchors contain non-finite entries")
     out = _attend(tokens.data @ proj.w_query, anchors @ proj.w_key, anchors @ proj.w_value)
     return TokenMatrix(out)
 

@@ -326,19 +326,27 @@ def cmd_bench(cfg: dict) -> int:
     rng = seeded_rng(cfg["seed"])
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
     proj = attention.init_projection(c, d, seed=cfg["seed"])
+    kernels = {
+        "full": lambda tokens, anchors: attention.full_attention(tokens, proj),
+        "anchor": lambda tokens, anchors: attention.anchor_attention(tokens, anchors, proj),
+    }
+    for mode in cfg["modes"]:
+        if mode not in kernels:
+            raise ConfigError(f"unknown bench mode {mode!r}")
+    # every point's cost before any timing, which also rejects extents < 1
+    cost = {
+        (m, mode): attention.flop_count(m, a, c, d, mode)
+        for m in cfg["m_values"]
+        for mode in cfg["modes"]
+    }
     rows = []
     for m in cfg["m_values"]:
         tokens = TokenMatrix(rng.standard_normal((m, c)))
         anchors = rng.standard_normal((a, c))
         for mode in cfg["modes"]:
-            if mode == "full":
-                fn = lambda: attention.full_attention(tokens, proj)
-            elif mode == "anchor":
-                fn = lambda: attention.anchor_attention(tokens, anchors, proj)
-            else:
-                raise ConfigError(f"unknown bench mode {mode!r}")
-            wall_ns = _time_best(fn, cfg["repeats"])
-            flops = attention.flop_count(m, a, c, d, mode)
+            kernel = kernels[mode]
+            wall_ns = _time_best(lambda: kernel(tokens, anchors), cfg["repeats"])
+            flops = cost[m, mode]
             rows.append((mode, m, a, c, d, wall_ns, flops))
             print(f"bench mode={mode} M={m} wall_ns={wall_ns} flops={flops}")
     if cfg["out"]:

@@ -62,10 +62,10 @@ class AnchorConfig:
             raise ConfigError(f"n_anchors must be >= 1, got {self.n_anchors}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.kl_weight < 0:
-            raise ConfigError(f"kl_weight must be >= 0, got {self.kl_weight}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not (np.isfinite(self.kl_weight) and self.kl_weight >= 0):
+            raise ConfigError(f"kl_weight must be finite and >= 0, got {self.kl_weight}")
         if self.prior_mode not in PRIOR_MODES:
             raise ConfigError(
                 f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}"

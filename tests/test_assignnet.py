@@ -159,6 +159,13 @@ class TestAdam:
         np.testing.assert_allclose(net2.layers[0].weight[0, 0], theta, rtol=1e-12)
 
 
+class TestAdamParams:
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -1e-8])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            AdamParams(epsilon=epsilon)
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_network(5, 7, hidden_dims=(11,), seed=99)

@@ -1,8 +1,11 @@
 """Alignment permutation, attention kernels vs naive oracles, cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from anchorkit import attention
 from anchorkit.attention import (
     align,
     anchor_attention,
@@ -12,7 +15,14 @@ from anchorkit.attention import (
     init_projection,
     unalign,
 )
-from anchorkit.core import ConfigError, DimensionError, LatentTensor, TokenMatrix, seeded_rng
+from anchorkit.core import (
+    ConfigError,
+    DimensionError,
+    LatentTensor,
+    NumericalError,
+    TokenMatrix,
+    seeded_rng,
+)
 
 
 def naive_attention(queries, keys, values):
@@ -140,6 +150,66 @@ class TestAnchorAttention:
         base = anchor_attention(tokens, anchors, proj)
         permuted = anchor_attention(tokens, anchors[perm], proj)
         np.testing.assert_allclose(permuted.data, base.data, atol=1e-12)
+
+    def test_empty_anchor_set_rejected(self):
+        proj = init_projection(4, 3, seed=0)
+        tokens = TokenMatrix(seeded_rng(13).standard_normal((5, 4)))
+        with pytest.raises(DimensionError):
+            anchor_attention(tokens, np.empty((0, 4)), proj)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchors_named(self, bad):
+        proj = init_projection(4, 3, seed=0)
+        rng = seeded_rng(14)
+        tokens = TokenMatrix(rng.standard_normal((5, 4)))
+        anchors = rng.standard_normal((3, 4))
+        anchors[1, 2] = bad
+        with pytest.raises(NumericalError, match="anchors"):
+            anchor_attention(tokens, anchors, proj)
+
+
+class TestTiling:
+    """The kernel walks the queries in row tiles of one reused buffer."""
+
+    M = 7
+
+    # a budget below one row still gives one-row tiles
+    @pytest.mark.parametrize("rows_per_tile", [0.1, 1, 2, 3, 5])
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_ragged_tiles_match_oracle_and_single_tile(self, monkeypatch, mode, rows_per_tile):
+        rng = seeded_rng(15)
+        proj = init_projection(4, 3, seed=8)
+        tokens = TokenMatrix(rng.standard_normal((self.M, 4)))
+        anchors = rng.standard_normal((3, 4))
+        keys_from = tokens.data if mode == "full" else anchors
+
+        def run():
+            if mode == "full":
+                return full_attention(tokens, proj).data
+            return anchor_attention(tokens, anchors, proj).data
+
+        single = run()  # default budget: every row in one tile
+        budget = int(8 * keys_from.shape[0] * rows_per_tile)
+        monkeypatch.setattr(attention, "_TILE_BYTES", budget)
+        tiled = run()
+        expected = naive_attention(
+            tokens.data @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
+        )
+        np.testing.assert_allclose(tiled, expected, atol=1e-12)
+        np.testing.assert_allclose(tiled, single, atol=1e-12)
+
+    def test_peak_memory_is_one_tile_plus_linear_terms(self):
+        """M=4096, d=64: the full score matrix would be 128 MiB; the kernel
+        holds one score tile plus the projections and the output."""
+        proj = init_projection(64, 64, seed=10)
+        tokens = TokenMatrix(seeded_rng(16).standard_normal((4096, 64)))
+        tracemalloc.start()
+        try:
+            full_attention(tokens, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * attention._TILE_BYTES
 
 
 class TestAttentionWeights:

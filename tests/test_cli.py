@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anchorkit import cli
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.core import load_array, load_tokens
@@ -78,6 +79,18 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert "categorical" in err and "gaussian" in err
+        assert "missing.vlt" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda-vi", "nan"), ("--lambda-vi", "inf"), ("--temperature", "inf"),
+    ])
+    def test_non_finite_setting_rejected_before_reading_input(
+        self, tmp_path, capsys, flag, value
+    ):
+        code = run_cli("train", "--input", str(tmp_path / "missing.vlt"), flag, value)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "finite" in err
         assert "missing.vlt" not in err
 
     @pytest.mark.parametrize("steps,log_every", [(10, 3), (8, 4), (5, 50)])
@@ -196,6 +209,25 @@ class TestBench:
         for mode, m, a, c, d, wall_ns, flops in body:
             assert int(flops) == flop_count(int(m), int(a), int(c), int(d), mode)
             assert int(wall_ns) > 0
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--modes", "full,bogus", "bogus"),
+        ("--m-values", "64,0", "extents"),
+        ("--anchors", "0", "extents"),
+    ])
+    def test_bad_setting_rejected_before_timing(self, monkeypatch, capsys, flag, value, named):
+        timed = []
+        monkeypatch.setattr(cli, "_time_best", lambda fn, repeats: timed.append(fn) or 1)
+        settings = {"--m-values": "64", "--anchors": "16", "--modes": "full,anchor", flag: value}
+        code = run_cli(
+            "bench", "--channels", "8", "--proj-dim", "8", "--repeats", "1",
+            *[word for item in settings.items() for word in item],
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not timed
+        assert "bench mode=" not in captured.out
+        assert named in captured.err
 
 
 class TestDdim:

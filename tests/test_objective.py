@@ -59,6 +59,23 @@ def reference_top_k(row, k):
     return sorted(sorted(range(len(row)), key=lambda m: (-row[m], m))[:k])
 
 
+class TestAnchorConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("kl_weight", np.nan),
+            ("kl_weight", np.inf),
+            ("kl_weight", -0.1),
+            ("temperature", np.inf),
+            ("temperature", np.nan),
+            ("temperature", 0.0),
+        ],
+    )
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            AnchorConfig(**{field: value})
+
+
 class TestSoftAssign:
     def test_symmetric_column(self):
         np.testing.assert_allclose(soft_assign(np.zeros((2, 1))), [[0.5], [0.5]])
