@@ -6,7 +6,8 @@ the output layer is linear. Gradients are hand-derived and the optimizer
 is a from-scratch bias-corrected Adam.
 
 Parameter updates are functional: ``adam_step`` returns new network and
-state objects rather than mutating.
+state objects rather than mutating. Forward and backward allocate one
+matrix product per layer and run the elementwise steps in its buffer.
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix):
     x = acts[0]
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        pre = layer.weight @ x + layer.bias[:, None]
-        x = np.tanh(pre) if i < last else pre
+        x = layer.weight @ x
+        x += layer.bias[:, None]
+        if i < last:
+            np.tanh(x, out=x)
         acts.append(x)
     return acts
 
@@ -177,7 +180,10 @@ def _backprop(net: AssignmentNetwork, acts, upstream: np.ndarray) -> GradientBun
         grads.append((delta @ acts[i].T, delta.sum(axis=1)))
         if i > 0:
             # tanh'(pre) = 1 - tanh(pre)^2, and acts[i] stores tanh(pre)
-            delta = (net.layers[i].weight.T @ delta) * (1.0 - acts[i] ** 2)
+            slope = np.square(acts[i])
+            np.subtract(1.0, slope, out=slope)
+            delta = net.layers[i].weight.T @ delta
+            delta *= slope
     grads.reverse()
     return tuple(grads)
 

@@ -92,9 +92,9 @@ def kmeans(
         centers = new_centers
         if shift < tol:
             break
-    d2 = _pairwise_sq_dists(points, centers)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
+    labels = _pairwise_sq_dists(points, centers).argmin(axis=1)
+    # exact differences: the expanded form leaves ~1e-16 where a point is its center
+    inertia = float(((points - centers[labels]) ** 2).sum())
     history.append(inertia)
     return KMeansResult(centers, labels, inertia, tuple(history))
 

@@ -4,8 +4,8 @@ Training is plain full-batch gradient descent on the anchor objective:
 every step recomputes assignments and pooled anchors from the current
 network, evaluates the losses, backpropagates into the network and takes
 one Adam step. There is no early stopping; a fixed step count keeps runs
-reproducible. Inference is a single forward pass, one softmax and one
-matrix multiplication.
+reproducible. Inference is a single forward pass, one softmax in the
+logits' buffer and one matrix multiplication.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .core import (
 from .objective import (
     DEGENERATE_MASS,
     AnchorConfig,
+    _column_softmax,
     anchor_moments,
     pool_anchors,
-    soft_assign,
     total_loss,
 )
 
@@ -182,11 +182,11 @@ def compress(tokens: TokenMatrix, net: AssignmentNetwork) -> CompressResult:
     """Extract the assignment matrix and pooled anchors in one pass.
 
     No iteration: a forward pass, a column softmax, and one matrix
-    multiplication. Pure, so repeated calls on equal inputs return
-    bit-identical arrays.
+    multiplication. The softmax overwrites the fresh logits, so this holds
+    one (n_anchors, M) array. Pure: equal inputs give bit-identical arrays.
     """
     logits = assignnet.forward(net, tokens)
-    assignments = soft_assign(logits)
+    assignments = _column_softmax(logits, logits)
     anchors = pool_anchors(assignments, tokens)
     return CompressResult(assignments, anchors)
 

@@ -13,7 +13,9 @@ of the tokens. Training balances two forces:
 Each term has one ``*_value_and_grad`` function that shares its work
 between the value and the gradient; ``total_loss`` calls each once per
 training step. ``contrastive_loss``, ``contrastive_grad``, ``kl_uniform``
-and ``kl_uniform_grad`` return one half of such a call.
+and ``kl_uniform_grad`` return one half of such a call. Elementwise
+steps write into (n_anchors, M) buffers the pass already holds; no public
+function writes its arguments.
 
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
@@ -76,16 +78,22 @@ def soft_assign(logits: np.ndarray) -> np.ndarray:
     """Column-wise softmax over the anchor axis, max-subtracted.
 
     Input and output are (n_anchors, M); every output column is a
-    probability vector.
+    probability vector, computed in the one array this allocates.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be 2-D, got {logits.ndim}-D")
+    return _column_softmax(logits, np.empty_like(logits))
+
+
+def _column_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`soft_assign` of 2-D float64 ``logits`` into ``out``, which may be ``logits``."""
     if not np.isfinite(logits).all():
         raise NumericalError("logits contain non-finite entries")
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=0, keepdims=True)
+    np.subtract(logits, logits.max(axis=0, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
 def pool_anchors(assignments: np.ndarray, tokens: TokenMatrix) -> np.ndarray:
@@ -112,10 +120,12 @@ def kl_uniform_value_and_grad(assignments: np.ndarray) -> tuple[float, np.ndarra
     r = np.asarray(assignments, dtype=np.float64)
     mask = r > 0
     log_ratio = np.zeros_like(r)
-    np.log(r * r.shape[0], out=log_ratio, where=mask)
-    value = float((r * log_ratio).sum())
+    np.multiply(r, r.shape[0], out=log_ratio, where=mask)
+    np.log(log_ratio, out=log_ratio, where=mask)
+    scratch = np.multiply(r, log_ratio)
+    value = float(scratch.sum())
     log_ratio += mask  # d(value)/dr: log(r * A) + 1 where r > 0, else 0
-    return value, _softmax_backward(r, log_ratio)
+    return value, _softmax_backward(r, log_ratio, scratch)
 
 
 def kl_uniform(assignments: np.ndarray) -> float:
@@ -147,8 +157,10 @@ def _sim_matrix(anchors: np.ndarray, tokens: TokenMatrix):
     z = tokens.data
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
-    denom = anchor_norms[:, None] * token_norms[None, :] + SIM_EPSILON
-    sims = (anchors @ z.T) / denom
+    denom = anchor_norms[:, None] * token_norms[None, :]
+    denom += SIM_EPSILON
+    sims = anchors @ z.T
+    sims /= denom
     return sims, denom, anchor_norms, token_norms
 
 
@@ -190,7 +202,8 @@ def contrastive_value_and_grad(
     gradient flows through anchors = R Z and then through the column
     softmax, with the top-k sets held fixed. Tokens are data and receive
     no gradient. The similarity matrix, its exponentials and the top-k
-    mask are built once and shared by the value and the gradient.
+    mask are built once and shared by the value and the gradient, in four
+    (n_anchors, M) buffers besides the mask.
     """
     z = tokens.data
     sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, tokens)
@@ -198,7 +211,8 @@ def contrastive_value_and_grad(
     mask = _top_k_mask(assignments, cfg.top_k)
 
     row_max = scaled.max(axis=1, keepdims=True)
-    positives_mean = (scaled * mask).sum(axis=1) / cfg.top_k
+    d_assignments = np.multiply(scaled, mask)  # this buffer later takes dL/dR
+    positives_mean = d_assignments.sum(axis=1) / cfg.top_k
     expd = np.exp(np.subtract(scaled, row_max, out=scaled), out=scaled)
     row_sum = expd.sum(axis=1, keepdims=True)
     lse = np.log(row_sum[:, 0]) + row_max[:, 0]
@@ -218,8 +232,8 @@ def contrastive_value_and_grad(
     safe_norms = np.maximum(anchor_norms, 1e-300)
     d_anchors -= (beta / safe_norms)[:, None] * anchors
 
-    d_assignments = d_anchors @ z.T
-    return value, _softmax_backward(assignments, d_assignments)
+    np.matmul(d_anchors, z.T, out=d_assignments)
+    return value, _softmax_backward(assignments, d_assignments, sims)
 
 
 def contrastive_loss(anchors: np.ndarray, tokens: TokenMatrix, assignments: np.ndarray,
@@ -234,10 +248,13 @@ def contrastive_grad(anchors: np.ndarray, tokens: TokenMatrix, assignments: np.n
     return contrastive_value_and_grad(anchors, tokens, assignments, cfg)[1]
 
 
-def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.ndarray:
-    """Chain dL/dR through the column softmax to dL/dlogits, in ``d_assignments``' buffer."""
+def _softmax_backward(
+    assignments: np.ndarray, d_assignments: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Chain dL/dR through the column softmax to dL/dlogits, in ``d_assignments``' buffer;
+    ``scratch`` is a spare array of its shape."""
     r = np.asarray(assignments, dtype=np.float64)
-    inner = (r * d_assignments).sum(axis=0, keepdims=True)
+    inner = np.multiply(r, d_assignments, out=scratch).sum(axis=0, keepdims=True)
     d_assignments -= inner
     d_assignments *= r
     return d_assignments
@@ -322,8 +339,7 @@ def gaussian_prior_value_and_grad(
         means @ z.T + d_var @ (z**2).T - 2.0 * (d_var * means) @ z.T
     ) + per_anchor_const[:, None]
     per_token /= safe_mass[:, None]
-    per_token = np.where(ok[:, None], per_token, 0.0)
-    return value, _softmax_backward(r, per_token)
+    return value, _softmax_backward(r, np.where(ok[:, None], per_token, 0.0), per_token)
 
 
 @dataclass(frozen=True)
@@ -354,6 +370,7 @@ def total_loss(logits: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> Ob
             reg, reg_grad = kl_uniform_value_and_grad(assignments)
         else:
             reg, reg_grad = gaussian_prior_value_and_grad(assignments, tokens)
-        grad += cfg.kl_weight * reg_grad
+        reg_grad *= cfg.kl_weight
+        grad += reg_grad
     total = contrast + cfg.kl_weight * reg
     return ObjectiveValue(total, contrast, reg, grad, assignments, anchors)

@@ -7,6 +7,8 @@ from anchorkit.assignnet import (
     AdamParams,
     AssignmentNetwork,
     Layer,
+    _backprop,
+    _forward_cached,
     adam_step,
     backward,
     forward,
@@ -116,6 +118,69 @@ class TestBackward:
                     fd.ravel()[idx] = (loss(perturbed(h)) - loss(perturbed(-h))) / (2 * h)
                 scale = max(np.abs(fd).max(), 1e-8)
                 assert np.abs(analytic - fd).max() / scale < 1e-6
+
+
+def reference_forward_cached(net, tokens):
+    """The forward pass with a fresh array per operation, as it was before
+    the bias add and the tanh ran in the product's buffer."""
+    acts = [tokens.data.T]
+    x = acts[0]
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        pre = layer.weight @ x + layer.bias[:, None]
+        x = np.tanh(pre) if i < last else pre
+        acts.append(x)
+    return acts
+
+
+def reference_backprop(net, acts, upstream):
+    """The backward loop with a fresh array per operation."""
+    grads = []
+    delta = upstream
+    for i in range(len(net.layers) - 1, -1, -1):
+        grads.append((delta @ acts[i].T, delta.sum(axis=1)))
+        if i > 0:
+            delta = (net.layers[i].weight.T @ delta) * (1.0 - acts[i] ** 2)
+    grads.reverse()
+    return tuple(grads)
+
+
+class TestInPlaceLayers:
+    """The in-place forward and backward passes match the one-array-per-
+    operation reference bit for bit and never write their inputs."""
+
+    @pytest.mark.parametrize("scale", [1.0, 700.0])
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 12)])
+    def test_equal_to_reference(self, hidden, scale):
+        rng = seeded_rng(30 + len(hidden))
+        net = init_network(5, 7, hidden_dims=hidden, seed=31)
+        tokens = TokenMatrix(scale * rng.standard_normal((40, 5)))
+        upstream = scale * rng.standard_normal((7, 40))
+        acts = _forward_cached(net, tokens)
+        ref_acts = reference_forward_cached(net, tokens)
+        assert len(acts) == len(ref_acts)
+        for got, want in zip(acts, ref_acts):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(_backprop(net, acts, upstream),
+                             reference_backprop(net, ref_acts, upstream)):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_forward_and_backward_leave_inputs_unchanged(self):
+        rng = seeded_rng(32)
+        net = init_network(4, 6, hidden_dims=(8, 8), seed=33)
+        data = rng.standard_normal((30, 4))
+        upstream = rng.standard_normal((6, 30))
+        params = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
+        tokens = TokenMatrix(data.copy())
+        upstream_seen = upstream.copy()
+        forward(net, tokens)
+        backward(net, tokens, upstream_seen)
+        np.testing.assert_array_equal(tokens.data, data)
+        np.testing.assert_array_equal(upstream_seen, upstream)
+        for layer, (w, b) in zip(net.layers, params):
+            np.testing.assert_array_equal(layer.weight, w)
+            np.testing.assert_array_equal(layer.bias, b)
 
 
 class TestAdam:

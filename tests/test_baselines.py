@@ -40,6 +40,12 @@ class TestKMeans:
         result = kmeans(TokenMatrix(points), 6, seed=0)
         assert result.inertia == pytest.approx(0.0, abs=1e-12)
 
+    def test_k_equals_m_inertia_is_exactly_zero(self):
+        """Every point is its own center, so no rounding residue is left."""
+        for seed in range(5):
+            points = seeded_rng(seed).standard_normal((6, 3))
+            assert kmeans(TokenMatrix(points), 6, seed=0).inertia == 0.0
+
     def test_identical_points_zero_inertia(self):
         points = np.tile([2.0, -1.0], (8, 1))
         result = kmeans(TokenMatrix(points), 2, seed=3)

@@ -173,6 +173,21 @@ class TestCompress:
         assignments = load_array(out_r)
         np.testing.assert_allclose(assignments.sum(axis=0), 1.0, atol=1e-6)
 
+    def test_more_anchors_than_tokens_prints_infinite_ratio(self, tmp_path, capsys):
+        """At k = M the k-means oracle error is exactly 0, so the ratio is inf."""
+        tokens = tmp_path / "tokens"
+        ckpt = tmp_path / "net.ckpt"
+        assert run_cli("gen", "--mixture", "--clusters", "4", "--dim", "8", "--points", "16",
+                       "--seed", "0", "--out", str(tokens)) == 0
+        assert run_cli("train", "--input", str(tokens.with_suffix(".vlt")), "--anchors", "128",
+                       "--steps", "1", "--hidden", "8", "--checkpoint", str(ckpt)) == 0
+        capsys.readouterr()
+        assert run_cli("compress", "--input", str(tokens.with_suffix(".vlt")),
+                       "--checkpoint", str(ckpt)) == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert float(fields["kmeans_error"]) == 0.0
+        assert fields["ratio"] == "inf"
+
     def test_dim_mismatch_exits_2(self, tmp_path, tokens_file):
         net = AssignmentNetwork((Layer(np.eye(3), np.zeros(3)),))
         ckpt = tmp_path / "bad.ckpt"

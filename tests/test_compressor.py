@@ -1,12 +1,13 @@
 """Training-loop contracts, one-pass compression, and usage diagnostics."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from anchorkit import assignnet
-from anchorkit.assignnet import AdamParams, init_network
+from anchorkit.assignnet import AdamParams, AssignmentNetwork, Layer, init_network
 from anchorkit.compressor import (
     TrainConfig,
     TrainingDivergedError,
@@ -15,7 +16,7 @@ from anchorkit.compressor import (
     compress,
     train,
 )
-from anchorkit.core import ConfigError, TokenMatrix, seeded_rng
+from anchorkit.core import ConfigError, NumericalError, TokenMatrix, seeded_rng
 from anchorkit.objective import AnchorConfig, total_loss
 from anchorkit.synth import MixtureSpec, gaussian_mixture
 
@@ -200,6 +201,64 @@ class TestCompress:
         medians = {m: float(np.median(times[m])) for m in sizes}
         ratios = [medians[b] / medians[a] for a, b in zip(sizes, sizes[1:])]
         assert min(ratios) <= 2.0 * 1.3, f"no clean doubling in {ratios}"
+
+
+def reference_compress(tokens, net):
+    """Forward pass, column softmax and pooling with a fresh array per
+    operation; returns (assignments, anchors)."""
+    x = tokens.data.T
+    for i, layer in enumerate(net.layers):
+        pre = layer.weight @ x + layer.bias[:, None]
+        x = np.tanh(pre) if i < len(net.layers) - 1 else pre
+    expd = np.exp(x - x.max(axis=0, keepdims=True))
+    r = expd / expd.sum(axis=0, keepdims=True)
+    return r, r @ tokens.data
+
+
+class TestInPlaceCompress:
+    @pytest.mark.parametrize("scale", [1.0, 700.0])
+    def test_equal_to_reference(self, scale):
+        tokens = random_tokens(m=60, c=5, seed=12)
+        net = init_network(5, 7, hidden_dims=(9, 6), seed=13)
+        last = net.layers[-1]
+        net = AssignmentNetwork((*net.layers[:-1], Layer(scale * last.weight, last.bias)))
+        result = compress(tokens, net)
+        assignments, anchors = reference_compress(tokens, net)
+        np.testing.assert_array_equal(result.assignments, assignments)
+        np.testing.assert_array_equal(result.anchors, anchors)
+
+    def test_leaves_inputs_unchanged(self):
+        data = seeded_rng(14).standard_normal((30, 4))
+        tokens = TokenMatrix(data.copy())
+        net = init_network(4, 6, hidden_dims=(8,), seed=15)
+        params = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
+        compress(tokens, net)
+        np.testing.assert_array_equal(tokens.data, data)
+        for layer, (w, b) in zip(net.layers, params):
+            np.testing.assert_array_equal(layer.weight, w)
+            np.testing.assert_array_equal(layer.bias, b)
+
+    def test_traced_peak_below_two_assignment_matrices(self):
+        """At A=512, M=4096, hidden (128, 128) compress holds the logits
+        (then assignments) and the two hidden activations: 1.5 assignment
+        matrices (one array per operation peaked at 4)."""
+        tokens = random_tokens(m=4096, c=16, seed=16)
+        net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
+        tracemalloc.start()
+        try:
+            compress(tokens, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 512 * 4096 * 8
+
+    def test_non_finite_logits_raise(self):
+        """Last-layer weights of 1e308 overflow the logits to inf."""
+        net = init_network(5, 4, hidden_dims=(6,), seed=18)
+        last = net.layers[-1]
+        net = AssignmentNetwork((net.layers[0], Layer(np.full_like(last.weight, 1e308), last.bias)))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            compress(random_tokens(m=10, c=5, seed=19), net)
 
 
 class TestUsageEntropy:

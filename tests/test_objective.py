@@ -5,16 +5,23 @@ computed through the full value pipeline (logits -> softmax -> pooling ->
 loss), at points where the top-k selections are stable under the probe.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from anchorkit import objective
 from anchorkit.core import ConfigError, NumericalError, TokenMatrix, seeded_rng
 from anchorkit.objective import (
     DEGENERATE_MASS,
     PRIOR_MODES,
+    SIM_EPSILON,
     VARIANCE_FLOOR,
     AnchorConfig,
+    _column_softmax,
     _sim_matrix,
     _top_k_mask,
     anchor_moments,
@@ -26,6 +33,7 @@ from anchorkit.objective import (
     gaussian_prior_value_and_grad,
     kl_uniform,
     kl_uniform_grad,
+    kl_uniform_value_and_grad,
     pool_anchors,
     soft_assign,
     total_loss,
@@ -535,3 +543,106 @@ class TestSinglePass:
                 r = np.round(r * 3) / 3
             for k in range(1, m + 1):
                 np.testing.assert_array_equal(_top_k_mask(r, k), lexsort_top_k_mask(r, k))
+
+
+def reference_soft_assign(logits):
+    """The column softmax with a fresh array per operation."""
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=0, keepdims=True)
+
+
+def reference_kl_uniform_value_and_grad(r):
+    """The categorical regularizer with a fresh array per operation."""
+    mask = r > 0
+    log_ratio = np.zeros_like(r)
+    np.log(r * r.shape[0], out=log_ratio, where=mask)
+    value = float((r * log_ratio).sum())
+    return value, softmax_backward(r, log_ratio + mask)
+
+
+def reference_contrastive_value_and_grad(anchors, z, r, cfg):
+    """The contrastive term with a fresh array per operation."""
+    anchor_norms = np.linalg.norm(anchors, axis=1)
+    token_norms = np.linalg.norm(z.data, axis=1)
+    denom = anchor_norms[:, None] * token_norms[None, :] + SIM_EPSILON
+    sims = (anchors @ z.data.T) / denom
+    scaled = sims / cfg.temperature
+    mask = lexsort_top_k_mask(r, cfg.top_k)
+    row_max = scaled.max(axis=1, keepdims=True)
+    positives_mean = (scaled * mask).sum(axis=1) / cfg.top_k
+    expd = np.exp(scaled - row_max)
+    row_sum = expd.sum(axis=1, keepdims=True)
+    value = float((np.log(row_sum[:, 0]) + row_max[:, 0] - positives_mean).sum())
+    softmax = expd / row_sum
+    w_direct = np.where(mask, softmax - 1.0 / cfg.top_k, softmax) / cfg.temperature / denom
+    beta = (sims * w_direct * token_norms[None, :]).sum(axis=1)
+    d_anchors = w_direct @ z.data
+    d_anchors -= (beta / np.maximum(anchor_norms, 1e-300))[:, None] * anchors
+    return value, softmax_backward(r, d_anchors @ z.data.T)
+
+
+def logit_cases():
+    """Random, tie-heavy and large-magnitude (+-700) logits with tokens."""
+    rng = seeded_rng(40)
+    z = TokenMatrix(rng.standard_normal((48, 5)))
+    plain = rng.standard_normal((6, 48))
+    return {
+        "random": (plain, z),
+        "ties": (np.tile(np.round(plain[:, :8]), 6), z),
+        "huge": (700.0 * np.sign(plain) * (np.abs(plain) > 0.5), z),
+    }
+
+
+class TestInPlaceObjective:
+    """The buffer-reusing softmax and loss terms match the one-array-per-
+    operation references bit for bit and never write their inputs."""
+
+    @pytest.mark.parametrize("case", ["random", "ties", "huge"])
+    def test_terms_equal_references(self, case):
+        logits, z = logit_cases()[case]
+        r = reference_soft_assign(logits)
+        np.testing.assert_array_equal(soft_assign(logits), r)
+        buf = logits.copy()
+        assert _column_softmax(buf, buf) is buf
+        np.testing.assert_array_equal(buf, r)
+        for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
+            np.testing.assert_array_equal(got, want)
+        cfg = AnchorConfig(n_anchors=6, top_k=5)
+        anchors = r @ z.data
+        for got, want in zip(contrastive_value_and_grad(anchors, z, r, cfg),
+                             reference_contrastive_value_and_grad(anchors, z, r, cfg)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    def test_public_functions_leave_inputs_unchanged(self, mode):
+        logits, z = logit_cases()["random"]
+        logits_seen, data = logits.copy(), z.data.copy()
+        soft_assign(logits_seen)
+        total_loss(logits_seen, z, AnchorConfig(n_anchors=6, top_k=5, prior_mode=mode))
+        np.testing.assert_array_equal(logits_seen, logits)
+        np.testing.assert_array_equal(z.data, data)
+
+    def test_soft_assign_traced_peak_is_one_output(self):
+        """At A=512, M=4096 the softmax holds its output and a boolean
+        finiteness mask: below 1.25 output sizes (one array per operation
+        peaked at 3)."""
+        logits = seeded_rng(41).standard_normal((512, 4096))
+        tracemalloc.start()
+        try:
+            soft_assign(logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * logits.nbytes
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_column_softmax_of_any_finite_logits(self, logits):
+        with np.errstate(over="ignore"):  # x - max overflows to -inf across +-1e308
+            want = reference_soft_assign(logits)
+            np.testing.assert_array_equal(soft_assign(logits), want)
+            buf = logits.copy()
+            np.testing.assert_array_equal(_column_softmax(buf, buf), want)
+        np.testing.assert_allclose(want.sum(axis=0), 1.0, rtol=0, atol=1e-12)
