@@ -68,7 +68,6 @@ from .core import (
 from .ddim import (
     ConstantPredictor,
     DiffusionSchedule,
-    GuidanceConfig,
     GuidedPredictor,
     LinearPredictor,
     NoisePredictor,

@@ -3,7 +3,9 @@
 The network maps each c-dimensional token to one logit per anchor. Hidden
 layers use tanh (smooth, so finite-difference gradient checks converge);
 the output layer is linear. Gradients are hand-derived and the optimizer
-is a from-scratch bias-corrected Adam.
+is a from-scratch bias-corrected Adam with the published constants of
+Kingma & Ba (2015): ``BETA1``, ``BETA2`` and ``EPSILON``; only the learning
+rate is a setting.
 
 Parameter updates are functional: ``adam_step`` returns new network and
 state objects rather than mutating. Forward and backward allocate one
@@ -30,6 +32,11 @@ from .core import (
 )
 
 ACTIVATION = "tanh"
+
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 # gradient arrays per layer, shaped like (weight, bias)
 GradientBundle = tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -79,17 +86,10 @@ class AssignmentNetwork:
 @dataclass(frozen=True)
 class AdamParams:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def adam_step(
         raise DimensionError(f"expected {len(net.layers)} gradient pairs, got {len(grads)}")
     p = state.params
     t = state.step_count + 1
-    c1 = 1.0 - p.beta1**t
-    c2 = 1.0 - p.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     new_layers = []
     new_m = []
     new_v = []
@@ -213,12 +213,12 @@ def adam_step(
     ):
         if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
             raise DimensionError("gradient shapes do not mirror parameters")
-        mw = p.beta1 * mw + (1.0 - p.beta1) * gw
-        mb = p.beta1 * mb + (1.0 - p.beta1) * gb
-        vw = p.beta2 * vw + (1.0 - p.beta2) * gw**2
-        vb = p.beta2 * vb + (1.0 - p.beta2) * gb**2
-        weight = layer.weight - p.learning_rate * (mw / c1) / (np.sqrt(vw / c2) + p.epsilon)
-        bias = layer.bias - p.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + p.epsilon)
+        mw = BETA1 * mw + (1.0 - BETA1) * gw
+        mb = BETA1 * mb + (1.0 - BETA1) * gb
+        vw = BETA2 * vw + (1.0 - BETA2) * gw**2
+        vb = BETA2 * vb + (1.0 - BETA2) * gb**2
+        weight = layer.weight - p.learning_rate * (mw / c1) / (np.sqrt(vw / c2) + EPSILON)
+        bias = layer.bias - p.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + EPSILON)
         new_layers.append(Layer(weight, bias))
         new_m.append((mw, mb))
         new_v.append((vw, vb))

@@ -41,7 +41,7 @@ class AttentionProjection:
             raise DimensionError("projection matrices must share one (c, d) shape")
         for arr in (self.w_query, self.w_key, self.w_value):
             if not np.isfinite(arr).all():
-                raise DimensionError("projection matrices must be finite")
+                raise NumericalError("projection matrices must be finite")
 
     @property
     def input_dim(self) -> int:

@@ -3,7 +3,8 @@
 Lloyd's k-means with k-means++ seeding is the reference point: learned
 anchors are compared against its centers through the shared
 quantization-error metric. Seeding comes from the package RNG, so results
-are reproducible per seed.
+are reproducible per seed. Lloyd's iterations stop after ``MAX_ITERS``
+passes or once no center moves by ``TOL`` or more.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DimensionError, TokenMatrix, seeded_rng
+
+MAX_ITERS = 100
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,17 +55,11 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def kmeans(
-    tokens: TokenMatrix,
-    k: int,
-    seed: int = 0,
-    max_iters: int = 100,
-    tol: float = 1e-8,
-) -> KMeansResult:
+def kmeans(tokens: TokenMatrix, k: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
     Iterates assign/update until the largest center shift drops below
-    ``tol`` or ``max_iters`` passes run. Assignment ties break toward the
+    ``TOL`` or ``MAX_ITERS`` passes run. Assignment ties break toward the
     lowest center index. A cluster that loses all of its points is
     re-seeded to the point currently farthest from its assigned center,
     so the result always has exactly ``k`` centers.
@@ -76,7 +74,7 @@ def kmeans(
     centers = _plusplus_init(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
     history = []
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         d2 = _pairwise_sq_dists(points, centers)
         labels = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), labels].sum()))
@@ -90,7 +88,7 @@ def kmeans(
                 new_centers[j] = points[farthest]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
-        if shift < tol:
+        if shift < TOL:
             break
     labels = _pairwise_sq_dists(points, centers).argmin(axis=1)
     # exact differences: the expanded form leaves ~1e-16 where a point is its center
@@ -106,5 +104,7 @@ def quantization_error(tokens: TokenMatrix, anchors: np.ndarray) -> float:
         raise DimensionError(
             f"anchors must be (n, {tokens.num_channels}), got {anchors.shape}"
         )
-    d2 = _pairwise_sq_dists(tokens.data, anchors)
-    return float(d2.min(axis=1).mean())
+    points = tokens.data
+    nearest = _pairwise_sq_dists(points, anchors).argmin(axis=1)
+    # exact differences, as in kmeans' final inertia: a token on its anchor adds 0
+    return float(((points - anchors[nearest]) ** 2).sum()) / tokens.num_tokens

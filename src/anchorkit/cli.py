@@ -314,7 +314,7 @@ def cmd_compress(cfg: dict) -> int:
 
 def _time_best(fn: Callable[[], object], repeats: int) -> int:
     best = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         start = time.perf_counter_ns()
         fn()
         elapsed = time.perf_counter_ns() - start
@@ -323,6 +323,8 @@ def _time_best(fn: Callable[[], object], repeats: int) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
+    if cfg["repeats"] < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {cfg['repeats']}")
     rng = seeded_rng(cfg["seed"])
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
     proj = attention.init_projection(c, d, seed=cfg["seed"])
@@ -375,11 +377,13 @@ def _build_predictor(cfg: dict) -> ddim.NoisePredictor:
     else:
         raise ConfigError(f"unknown predictor {kind!r}")
     if cfg["guidance"] is not None:
-        pred = ddim.GuidedPredictor(pred, ddim.GuidanceConfig(scale=cfg["guidance"]))
+        pred = ddim.GuidedPredictor(pred, cfg["guidance"])
     return pred
 
 
 def cmd_ddim(cfg: dict) -> int:
+    if cfg["dim"] < 1:
+        raise ConfigError(f"--dim must be >= 1, got {cfg['dim']}")
     sched = ddim.linear_beta_schedule(cfg["steps"])
     pred = _build_predictor(cfg)
     rng = seeded_rng(cfg["seed"])

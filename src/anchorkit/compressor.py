@@ -24,6 +24,7 @@ from .core import (
     DimensionError,
     NumericalError,
     TokenMatrix,
+    seeded_rng,
 )
 from .objective import (
     DEGENERATE_MASS,
@@ -142,7 +143,7 @@ def train(
             f"network emits {net.output_dim} anchors, config wants {obj.n_anchors}"
         )
     state = assignnet.init_adam(net, cfg.adam)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = seeded_rng(cfg.seed)
     records = []
     for step in range(1, cfg.steps + 1):
         if cfg.subsample is None:
@@ -152,10 +153,10 @@ def train(
             batch = TokenMatrix(tokens.data[idx])
         # one forward pass per step; backprop reuses its activations
         acts = assignnet._forward_cached(net, batch)
-        logits = acts[-1]
-        if not np.isfinite(logits).all():
-            raise TrainingDivergedError(step, "logits")
-        value = total_loss(logits, batch, obj)
+        try:
+            value = total_loss(acts[-1], batch, obj)
+        except NumericalError:  # the column softmax found non-finite logits
+            raise TrainingDivergedError(step, "logits") from None
         for term, name in ((value.contrastive, "contrastive"), (value.regularizer, "regularizer")):
             if not np.isfinite(term):
                 raise TrainingDivergedError(step, name)

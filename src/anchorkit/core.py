@@ -144,22 +144,6 @@ class LatentTensor:
             raise DimensionError(f"latent extents must be >= 1, got {arr.shape}")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[3]
-
 
 def flatten(latent: LatentTensor) -> TokenMatrix:
     """Reshape a latent tensor into its token matrix.

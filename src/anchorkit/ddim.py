@@ -20,7 +20,10 @@ different states and exact inversion is not expected.
 
 Noise predictors are pluggable callables ``(state, t, cond) -> noise`` of
 matching shape; the bundled ones are deterministic stand-ins for a real
-denoising model.
+denoising model. The steps query them with the ``COND`` tag, and
+classifier-free guidance adds an ``UNCOND`` query. The schedule's betas
+run linearly from ``BETA_START`` to ``BETA_END``, and ``LinearPredictor``
+scales its matrix by ``LINEAR_GAIN``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DimensionError, save_array, seeded_rng
+
+# linear beta range of DDPM (Ho et al. 2020)
+BETA_START = 1e-4
+BETA_END = 2e-2
+# query tags of classifier-free guidance (Ho & Salimans 2022)
+COND = "cond"
+UNCOND = "uncond"
+# scale of LinearPredictor's seeded matrix, whose spectral norm is about 2 * gain
+LINEAR_GAIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,16 +68,15 @@ class DiffusionSchedule:
         return self.alphas.size - 1
 
 
-def linear_beta_schedule(
-    n_steps: int, beta_start: float = 1e-4, beta_end: float = 2e-2
-) -> DiffusionSchedule:
-    """Cumulative products of (1 - beta) for betas linear over ``n_steps``.
+def linear_beta_schedule(n_steps: int) -> DiffusionSchedule:
+    """Cumulative products of (1 - beta) for betas linear over ``n_steps``,
+    from ``BETA_START`` to ``BETA_END``.
 
     alpha[0] = 1 is the clean boundary; alpha[t] = prod_{s<=t} (1 - beta_s).
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
-    betas = np.linspace(beta_start, beta_end, n_steps)
+    betas = np.linspace(BETA_START, BETA_END, n_steps)
     alphas = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
     return DiffusionSchedule(alphas)
 
@@ -95,22 +106,21 @@ class ConstantPredictor(NoisePredictor):
 class TimeOnlyPredictor(NoisePredictor):
     """State-independent noise, a fixed pseudo-random draw per (t, cond)."""
 
-    def __init__(self, seed: int = 0, scale: float = 1.0):
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.scale = float(scale)
 
     def __call__(self, state, t, cond):
         tag = zlib.crc32(str(cond).encode("utf-8"))
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, int(t), tag])))
-        return self.scale * rng.standard_normal(state.shape)
+        return rng.standard_normal(state.shape)
 
 
 class LinearPredictor(NoisePredictor):
     """Fixed linear map of the flattened state; state-dependent on purpose."""
 
-    def __init__(self, dim: int, seed: int = 0, gain: float = 0.05):
+    def __init__(self, dim: int, seed: int = 0):
         rng = seeded_rng(seed)
-        self.matrix = gain * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        self.matrix = LINEAR_GAIN * rng.standard_normal((dim, dim)) / np.sqrt(dim)
 
     def __call__(self, state, t, cond):
         flat = np.asarray(state, dtype=np.float64).ravel()
@@ -132,35 +142,21 @@ def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, scale: float) -> n
     return scale * eps_cond + (1.0 - scale) * eps_uncond
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    scale: float = 7.5
-    conditional: str = "cond"
-    unconditional: str = "uncond"
-
-    def __post_init__(self):
-        if not np.isfinite(self.scale):
-            raise ConfigError("guidance scale must be finite")
-
-
 class GuidedPredictor(NoisePredictor):
-    """Wraps a predictor with classifier-free guidance.
+    """Wraps a predictor with classifier-free guidance at a finite ``scale``.
 
-    Queries the base predictor under the conditional and unconditional
-    tags and combines them; the incoming cond tag is ignored.
+    Queries the base predictor under the ``COND`` and ``UNCOND`` tags and
+    combines them; the incoming cond tag is ignored.
     """
 
-    def __init__(self, base: NoisePredictor, guidance: GuidanceConfig):
+    def __init__(self, base: NoisePredictor, scale: float):
+        if not np.isfinite(scale):
+            raise ConfigError("guidance scale must be finite")
         self.base = base
-        self.guidance = guidance
+        self.scale = scale
 
     def __call__(self, state, t, cond):
-        g = self.guidance
-        return cfg_combine(
-            self.base(state, t, g.conditional),
-            self.base(state, t, g.unconditional),
-            g.scale,
-        )
+        return cfg_combine(self.base(state, t, COND), self.base(state, t, UNCOND), self.scale)
 
 
 def _coefficients(sched: DiffusionSchedule, t: int) -> tuple[float, float]:
@@ -175,24 +171,16 @@ def _coefficients(sched: DiffusionSchedule, t: int) -> tuple[float, float]:
 
 
 def denoise_step(
-    state: np.ndarray,
-    t: int,
-    sched: DiffusionSchedule,
-    pred: NoisePredictor,
-    cond: str = "cond",
+    state: np.ndarray, t: int, sched: DiffusionSchedule, pred: NoisePredictor
 ) -> np.ndarray:
     """One deterministic sampling step, level t -> t-1."""
     scale, noise = _coefficients(sched, t)
     state = np.asarray(state, dtype=np.float64)
-    return scale * state + noise * pred(state, t, cond)
+    return scale * state + noise * pred(state, t, COND)
 
 
 def invert_step(
-    state: np.ndarray,
-    t: int,
-    sched: DiffusionSchedule,
-    pred: NoisePredictor,
-    cond: str = "cond",
+    state: np.ndarray, t: int, sched: DiffusionSchedule, pred: NoisePredictor
 ) -> np.ndarray:
     """One inversion step, level t-1 -> t; exact inverse of the sampler.
 
@@ -201,15 +189,11 @@ def invert_step(
     """
     scale, noise = _coefficients(sched, t)
     state = np.asarray(state, dtype=np.float64)
-    return (state - noise * pred(state, t, cond)) / scale
+    return (state - noise * pred(state, t, COND)) / scale
 
 
 def run_trajectory(
-    state: np.ndarray,
-    sched: DiffusionSchedule,
-    pred: NoisePredictor,
-    direction: str,
-    cond: str = "cond",
+    state: np.ndarray, sched: DiffusionSchedule, pred: NoisePredictor, direction: str
 ) -> list[np.ndarray]:
     """All intermediate states of a full traversal of the schedule.
 
@@ -222,10 +206,10 @@ def run_trajectory(
     states = [np.asarray(state, dtype=np.float64)]
     if direction == "invert":
         for t in range(1, sched.n_steps + 1):
-            states.append(invert_step(states[-1], t, sched, pred, cond))
+            states.append(invert_step(states[-1], t, sched, pred))
     else:
         for t in range(sched.n_steps, 0, -1):
-            states.append(denoise_step(states[-1], t, sched, pred, cond))
+            states.append(denoise_step(states[-1], t, sched, pred))
     return states
 
 

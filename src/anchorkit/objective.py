@@ -283,16 +283,12 @@ def anchor_moments(assignments: np.ndarray, tokens: TokenMatrix):
     ``DEGENERATE_MASS`` get mean 0 and variance equal to the floor.
     """
     r = np.asarray(assignments, dtype=np.float64)
-    z = tokens.data
-    if r.shape[1] != z.shape[0]:
-        raise DimensionError(
-            f"assignments have {r.shape[1]} tokens, matrix has {z.shape[0]}"
-        )
+    means = pool_anchors(r, tokens)  # also checks the shapes
     mass = r.sum(axis=1)
     ok = mass >= DEGENERATE_MASS
     safe_mass = np.where(ok, mass, 1.0)
-    means = (r @ z) / safe_mass[:, None]
-    second = (r @ z**2) / safe_mass[:, None]
+    means /= safe_mass[:, None]
+    second = (r @ tokens.data**2) / safe_mass[:, None]
     raw_var = second - means**2
     means = np.where(ok[:, None], means, 0.0)
     raw_var = np.where(ok[:, None], raw_var, VARIANCE_FLOOR)

@@ -168,6 +168,16 @@ class TestAnchorAttention:
             anchor_attention(tokens, anchors, proj)
 
 
+class TestProjection:
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_a_numerical_error(self, which, bad):
+        mats = [seeded_rng(15 + i).standard_normal((4, 3)) for i in range(3)]
+        mats[which][2, 1] = bad
+        with pytest.raises(NumericalError, match="projection"):
+            attention.AttentionProjection(*mats)
+
+
 class TestTiling:
     """The kernel walks the queries in row tiles of one reused buffer."""
 

@@ -103,6 +103,20 @@ class TestQuantizationError:
         qerr = quantization_error(data.tokens, result.centers)
         assert qerr == pytest.approx(result.inertia / data.tokens.num_tokens, abs=1e-9)
 
+    def test_tokens_as_anchors_exactly_zero(self):
+        tokens = gaussian_mixture(MixtureSpec(4, 8, 16, seed=42)).tokens
+        assert quantization_error(tokens, tokens.data) == 0.0
+
+    def test_random_anchors_match_expanded_distance(self):
+        """Exact differences move the value by rounding only."""
+        tokens = gaussian_mixture(MixtureSpec(4, 8, 16, seed=42)).tokens
+        anchors = seeded_rng(4).standard_normal((6, 8))
+        z = tokens.data
+        expanded = ((z**2).sum(axis=1)[:, None] - 2.0 * z @ anchors.T
+                    + (anchors**2).sum(axis=1)[None, :])
+        reference = np.maximum(expanded, 0.0).min(axis=1).mean()
+        assert abs(quantization_error(tokens, anchors) - reference) <= 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             quantization_error(TokenMatrix(np.ones((3, 2))), np.ones((2, 5)))

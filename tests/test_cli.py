@@ -229,6 +229,8 @@ class TestBench:
         ("--modes", "full,bogus", "bogus"),
         ("--m-values", "64,0", "extents"),
         ("--anchors", "0", "extents"),
+        ("--repeats", "0", "--repeats"),
+        ("--repeats", "-5", "--repeats"),
     ])
     def test_bad_setting_rejected_before_timing(self, monkeypatch, capsys, flag, value, named):
         timed = []
@@ -267,6 +269,22 @@ class TestDdim:
                        "--dump", str(dump), "--seed", "0") == 0
         assert (dump / "manifest.txt").exists()
         assert len(list(dump.glob("state_*.vlt"))) == 4
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--dim", "0", "--dim"),
+        ("--dim", "-2", "--dim"),
+        ("--guidance", "nan", "guidance scale must be finite"),
+        ("--guidance", "inf", "guidance scale must be finite"),
+    ])
+    def test_bad_setting_rejected_before_work(self, tmp_path, capsys, flag, value, named):
+        dump = tmp_path / "traj"
+        code = run_cli("ddim", "--predictor", "linear", "--steps", "3", flag, value,
+                       "--dump", str(dump))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "steps=" not in captured.out
+        assert not dump.exists()
+        assert named in captured.err.splitlines()[-1]
 
 
 class TestAttend:

@@ -111,6 +111,16 @@ class TestTrainContract:
             train(tokens, cfg)
         assert 1 <= err.value.step <= 10
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_logits_stop_at_step_one(self):
+        """The column softmax's finiteness check names the logits term."""
+        tokens = TokenMatrix(np.abs(seeded_rng(3).standard_normal((16, 4))) + 1.0)
+        net = AssignmentNetwork((Layer(np.full((4, 4), 1e308), np.zeros(4)),))
+        cfg = TrainConfig(steps=3, seed=0, objective=small_objective())
+        with pytest.raises(TrainingDivergedError) as err:
+            train(tokens, cfg, net=net)
+        assert (err.value.step, err.value.term) == (1, "logits")
+
     def test_subsample_contract(self):
         tokens = random_tokens(m=20, c=3, seed=7)
         cfg = TrainConfig(steps=8, log_every=8, seed=0, objective=small_objective(),

@@ -7,7 +7,6 @@ from anchorkit.core import ConfigError, DimensionError, seeded_rng
 from anchorkit.ddim import (
     ConstantPredictor,
     DiffusionSchedule,
-    GuidanceConfig,
     GuidedPredictor,
     LinearPredictor,
     TimeOnlyPredictor,
@@ -141,7 +140,7 @@ class TestCfgCombine:
     def test_guided_predictor_composes(self):
         """Guidance wraps any predictor and reproduces the affine combination."""
         pred = TimeOnlyPredictor(seed=9)
-        guided = GuidedPredictor(pred, GuidanceConfig(scale=7.5))
+        guided = GuidedPredictor(pred, 7.5)
         z = seeded_rng(10).standard_normal(4)
         expected = cfg_combine(pred(z, 3, "cond"), pred(z, 3, "uncond"), 7.5)
         np.testing.assert_array_equal(guided(z, 3, "ignored"), expected)
