@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix, seeded_rng
+from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix
+from .core import _exp_shifted, seeded_rng
 
 # bytes of the one score buffer a call reuses for every row tile: big
 # enough for efficient matrix products (128 rows at 8192 keys), small
@@ -82,15 +83,10 @@ def unalign(aligned: np.ndarray, height: int, width: int) -> LatentTensor:
     return LatentTensor(aligned.reshape(height, width, l, c).transpose(2, 3, 0, 1))
 
 
-def _exp_shifted(scores: np.ndarray) -> np.ndarray:
-    """exp(scores - row max) in place: unnormalised softmax rows."""
-    scores -= scores.max(axis=1, keepdims=True)
-    return np.exp(scores, out=scores)
-
-
 def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Row-stochastic weights softmax(Q K^T / sqrt(d)), max-subtracted."""
-    weights = _exp_shifted((queries / np.sqrt(queries.shape[1])) @ keys.T)
+    weights = (queries / np.sqrt(queries.shape[1])) @ keys.T
+    _exp_shifted(weights, 1, weights)
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
 
@@ -109,21 +105,25 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
     for start in range(0, m, rows):
         tile = slice(start, start + rows)
         weights = scores[: min(rows, m - start)]
-        _exp_shifted(np.matmul(queries[tile], keys.T, out=weights))
+        _exp_shifted(np.matmul(queries[tile], keys.T, out=weights), 1, weights)
         np.matmul(weights, values, out=queries[tile])
         queries[tile] /= weights.sum(axis=1, keepdims=True)
     return queries
 
 
-def full_attention(tokens: TokenMatrix, proj: AttentionProjection) -> TokenMatrix:
-    """Quadratic baseline: queries, keys and values all from the tokens."""
+def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) -> TokenMatrix:
+    """Width-checked attention: queries from ``tokens``, keys and values from rows of ``kv``."""
     if tokens.num_channels != proj.input_dim:
         raise DimensionError(
             f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
         )
-    z = tokens.data
-    out = _attend(z @ proj.w_query, z @ proj.w_key, z @ proj.w_value)
+    out = _attend(tokens.data @ proj.w_query, kv @ proj.w_key, kv @ proj.w_value)
     return TokenMatrix(out)
+
+
+def full_attention(tokens: TokenMatrix, proj: AttentionProjection) -> TokenMatrix:
+    """Quadratic baseline: queries, keys and values all from the tokens."""
+    return _qkv_attend(tokens, tokens.data, proj)
 
 
 def anchor_attention(
@@ -135,18 +135,13 @@ def anchor_attention(
     the whole point of compressing the latents first.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
-    if tokens.num_channels != proj.input_dim:
-        raise DimensionError(
-            f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
-        )
     if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != tokens.num_channels:
         raise DimensionError(
             f"anchors must be (n >= 1, {tokens.num_channels}), got {anchors.shape}"
         )
     if not np.isfinite(anchors).all():
         raise NumericalError("anchors contain non-finite entries")
-    out = _attend(tokens.data @ proj.w_query, anchors @ proj.w_key, anchors @ proj.w_value)
-    return TokenMatrix(out)
+    return _qkv_attend(tokens, anchors, proj)
 
 
 def flop_count(

@@ -37,12 +37,16 @@ def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest-center labels and the squared error summed from exact differences."""
+    labels = _pairwise_sq_dists(points, centers).argmin(axis=1)
+    return labels, float(((points - centers[labels]) ** 2).sum())
+
+
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    if k == 1:
-        return centers
     best = _pairwise_sq_dists(points, centers[:1])[:, 0]
     for i in range(1, k):
         total = best.sum()
@@ -90,9 +94,7 @@ def kmeans(tokens: TokenMatrix, k: int, seed: int = 0) -> KMeansResult:
         centers = new_centers
         if shift < TOL:
             break
-    labels = _pairwise_sq_dists(points, centers).argmin(axis=1)
-    # exact differences: the expanded form leaves ~1e-16 where a point is its center
-    inertia = float(((points - centers[labels]) ** 2).sum())
+    labels, inertia = _nearest(points, centers)
     history.append(inertia)
     return KMeansResult(centers, labels, inertia, tuple(history))
 
@@ -100,11 +102,8 @@ def kmeans(tokens: TokenMatrix, k: int, seed: int = 0) -> KMeansResult:
 def quantization_error(tokens: TokenMatrix, anchors: np.ndarray) -> float:
     """Mean squared distance from each token to its nearest anchor row."""
     anchors = np.asarray(anchors, dtype=np.float64)
-    if anchors.ndim != 2 or anchors.shape[1] != tokens.num_channels:
+    if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != tokens.num_channels:
         raise DimensionError(
-            f"anchors must be (n, {tokens.num_channels}), got {anchors.shape}"
+            f"anchors must be (n >= 1, {tokens.num_channels}), got {anchors.shape}"
         )
-    points = tokens.data
-    nearest = _pairwise_sq_dists(points, anchors).argmin(axis=1)
-    # exact differences, as in kmeans' final inertia: a token on its anchor adds 0
-    return float(((points - anchors[nearest]) ** 2).sum()) / tokens.num_tokens
+    return _nearest(tokens.data, anchors)[1] / tokens.num_tokens

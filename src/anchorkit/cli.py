@@ -312,6 +312,19 @@ def cmd_compress(cfg: dict) -> int:
     return EXIT_OK
 
 
+# attention kernels by mode, called as (tokens, anchors, projection); looked up at call time
+_KERNELS = {
+    "full": lambda tokens, anchors, proj: attention.full_attention(tokens, proj),
+    "anchor": lambda tokens, anchors, proj: attention.anchor_attention(tokens, anchors, proj),
+}
+
+
+def _check_modes(modes, flag: str) -> None:
+    for mode in modes:
+        if mode not in _KERNELS:
+            raise ConfigError(f"unknown {flag} mode {mode!r}")
+
+
 def _time_best(fn: Callable[[], object], repeats: int) -> int:
     best = None
     for _ in range(repeats):
@@ -325,16 +338,10 @@ def _time_best(fn: Callable[[], object], repeats: int) -> int:
 def cmd_bench(cfg: dict) -> int:
     if cfg["repeats"] < 1:
         raise ConfigError(f"--repeats must be >= 1, got {cfg['repeats']}")
+    _check_modes(cfg["modes"], "--modes")
     rng = seeded_rng(cfg["seed"])
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
     proj = attention.init_projection(c, d, seed=cfg["seed"])
-    kernels = {
-        "full": lambda tokens, anchors: attention.full_attention(tokens, proj),
-        "anchor": lambda tokens, anchors: attention.anchor_attention(tokens, anchors, proj),
-    }
-    for mode in cfg["modes"]:
-        if mode not in kernels:
-            raise ConfigError(f"unknown bench mode {mode!r}")
     # every point's cost before any timing, which also rejects extents < 1
     cost = {
         (m, mode): attention.flop_count(m, a, c, d, mode)
@@ -346,8 +353,8 @@ def cmd_bench(cfg: dict) -> int:
         tokens = TokenMatrix(rng.standard_normal((m, c)))
         anchors = rng.standard_normal((a, c))
         for mode in cfg["modes"]:
-            kernel = kernels[mode]
-            wall_ns = _time_best(lambda: kernel(tokens, anchors), cfg["repeats"])
+            kernel = _KERNELS[mode]
+            wall_ns = _time_best(lambda: kernel(tokens, anchors, proj), cfg["repeats"])
             flops = cost[m, mode]
             rows.append((mode, m, a, c, d, wall_ns, flops))
             print(f"bench mode={mode} M={m} wall_ns={wall_ns} flops={flops}")
@@ -400,17 +407,13 @@ def cmd_ddim(cfg: dict) -> int:
 def cmd_attend(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("--input is required")
+    _check_modes([cfg["mode"]], "--mode")
+    if cfg["mode"] == "anchor" and not cfg["anchors_file"]:
+        raise ConfigError("anchor mode needs --anchors-file")
     tokens = load_tokens(cfg["input"])
+    anchors = load_array(cfg["anchors_file"]) if cfg["mode"] == "anchor" else None
     proj = attention.init_projection(tokens.num_channels, cfg["proj_dim"], seed=cfg["seed"])
-    if cfg["mode"] == "full":
-        out = attention.full_attention(tokens, proj)
-    elif cfg["mode"] == "anchor":
-        if not cfg["anchors_file"]:
-            raise ConfigError("anchor mode needs --anchors-file")
-        anchors = load_array(cfg["anchors_file"])
-        out = attention.anchor_attention(tokens, anchors, proj)
-    else:
-        raise ConfigError(f"unknown mode {cfg['mode']!r}")
+    out = _KERNELS[cfg["mode"]](tokens, anchors, proj)
     if cfg["out"]:
         save_tokens(cfg["out"], out)
     print(f"attended {tokens.num_tokens} tokens -> {out.data.shape}")

@@ -26,14 +26,7 @@ from .core import (
     TokenMatrix,
     seeded_rng,
 )
-from .objective import (
-    DEGENERATE_MASS,
-    AnchorConfig,
-    _column_softmax,
-    anchor_moments,
-    pool_anchors,
-    total_loss,
-)
+from .objective import AnchorConfig, _anchor_mass, _column_softmax, pool_anchors, total_loss
 
 REPORT_COLUMNS = ("step", "total", "contrastive", "regularizer", "entropy")
 
@@ -134,14 +127,11 @@ def train(
         net = assignnet.init_network(
             tokens.num_channels, obj.n_anchors, cfg.hidden_dims, seed=cfg.seed
         )
-    elif net.input_dim != tokens.num_channels:
-        raise DimensionError(
-            f"network expects {net.input_dim}-channel tokens, got {tokens.num_channels}"
-        )
     elif net.output_dim != obj.n_anchors:
         raise DimensionError(
             f"network emits {net.output_dim} anchors, config wants {obj.n_anchors}"
         )
+    assignnet._check_tokens(net, tokens)
     state = assignnet.init_adam(net, cfg.adam)
     rng = seeded_rng(cfg.seed)
     records = []
@@ -200,5 +190,6 @@ def anchor_means(assignments: np.ndarray, tokens: TokenMatrix) -> np.ndarray:
     set used for quantization-error comparisons against clustering
     baselines. Anchors with no mass are dropped.
     """
-    means, _, _, mass = anchor_moments(assignments, tokens)
-    return means[mass >= DEGENERATE_MASS]
+    sums = pool_anchors(assignments, tokens)  # also checks the shapes
+    mass, ok, _ = _anchor_mass(assignments)
+    return sums[ok] / mass[ok, None]

@@ -70,6 +70,13 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """exp(x - max along ``axis``) into ``out``, which may be ``x``; returns the max."""
+    shift = x.max(axis=axis, keepdims=True)
+    np.exp(np.subtract(x, shift, out=out), out=out)
+    return shift
+
+
 def _as_owned_f64(data, name: str) -> np.ndarray:
     arr = np.array(data, dtype=np.float64, order="C")
     if not np.isfinite(arr).all():

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, NumericalError, TokenMatrix
+from .core import ConfigError, DimensionError, NumericalError, TokenMatrix, _exp_shifted
 
 PRIOR_MODES = ("categorical", "gaussian")
 
@@ -90,8 +90,7 @@ def _column_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`soft_assign` of 2-D float64 ``logits`` into ``out``, which may be ``logits``."""
     if not np.isfinite(logits).all():
         raise NumericalError("logits contain non-finite entries")
-    np.subtract(logits, logits.max(axis=0, keepdims=True), out=out)
-    np.exp(out, out=out)
+    _exp_shifted(logits, 0, out)
     out /= out.sum(axis=0, keepdims=True)
     return out
 
@@ -210,16 +209,15 @@ def contrastive_value_and_grad(
     scaled = sims / cfg.temperature
     mask = _top_k_mask(assignments, cfg.top_k)
 
-    row_max = scaled.max(axis=1, keepdims=True)
     d_assignments = np.multiply(scaled, mask)  # this buffer later takes dL/dR
     positives_mean = d_assignments.sum(axis=1) / cfg.top_k
-    expd = np.exp(np.subtract(scaled, row_max, out=scaled), out=scaled)
-    row_sum = expd.sum(axis=1, keepdims=True)
+    row_max = _exp_shifted(scaled, 1, scaled)  # scaled now holds the exponentials
+    row_sum = scaled.sum(axis=1, keepdims=True)
     lse = np.log(row_sum[:, 0]) + row_max[:, 0]
     value = float((lse - positives_mean).sum())
 
     # one buffer, in turn: softmax, dL/d(sims/tau), dL/dsims, direct weight
-    w_direct = np.divide(expd, row_sum, out=expd)
+    w_direct = np.divide(scaled, row_sum, out=scaled)
     np.subtract(w_direct, 1.0 / cfg.top_k, out=w_direct, where=mask)
     w_direct /= cfg.temperature
     # sims[a,m] = (c_a . z_m) / denom[a,m]; differentiate both factors.
@@ -282,18 +280,27 @@ def anchor_moments(assignments: np.ndarray, tokens: TokenMatrix):
     each anchor's total responsibility. Anchors with mass below
     ``DEGENERATE_MASS`` get mean 0 and variance equal to the floor.
     """
-    r = np.asarray(assignments, dtype=np.float64)
-    means = pool_anchors(r, tokens)  # also checks the shapes
-    mass = r.sum(axis=1)
+    return _moments(np.asarray(assignments, dtype=np.float64), tokens)[:4]
+
+
+def _anchor_mass(assignments: np.ndarray):
+    """Mass per anchor, the mask of masses reaching ``DEGENERATE_MASS``, and a safe divisor."""
+    mass = np.asarray(assignments, dtype=np.float64).sum(axis=1)
     ok = mass >= DEGENERATE_MASS
-    safe_mass = np.where(ok, mass, 1.0)
+    return mass, ok, np.where(ok, mass, 1.0)
+
+
+def _moments(r: np.ndarray, tokens: TokenMatrix):
+    """:func:`anchor_moments` of float64 ``r``, then :func:`_anchor_mass`' mask and divisor."""
+    means = pool_anchors(r, tokens)  # also checks the shapes
+    mass, ok, safe_mass = _anchor_mass(r)
     means /= safe_mass[:, None]
     second = (r @ tokens.data**2) / safe_mass[:, None]
     raw_var = second - means**2
     means = np.where(ok[:, None], means, 0.0)
     raw_var = np.where(ok[:, None], raw_var, VARIANCE_FLOOR)
     variances = np.maximum(raw_var, VARIANCE_FLOOR)
-    return means, variances, raw_var, mass
+    return means, variances, raw_var, mass, ok, safe_mass
 
 
 def gaussian_prior_value_and_grad(
@@ -313,10 +320,8 @@ def gaussian_prior_value_and_grad(
     """
     r = np.asarray(assignments, dtype=np.float64)
     z = tokens.data
-    means, variances, raw_var, mass = anchor_moments(assignments, tokens)
+    means, variances, raw_var, _, ok, safe_mass = _moments(r, tokens)
     value = gaussian_kl_closed_form(means, variances)
-    ok = mass >= DEGENERATE_MASS
-    safe_mass = np.where(ok, mass, 1.0)
 
     # dKL/dvar through the floor: zero where the floor is active
     active = raw_var > VARIANCE_FLOOR
