@@ -281,6 +281,8 @@ def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
         raise FormatError(f"unsupported activation {meta.get('activation')!r}")
     if n_layers != len(shapes):
         raise FormatError("manifest layer count disagrees with layer lines")
+    if step_count < 0:
+        raise FormatError(f"negative step count {step_count}")
     layers = []
     for out_dim, in_dim in shapes:
         weight, offset = _decode_array(buf, offset)
@@ -296,4 +298,7 @@ def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
             raise FormatError(f"checkpoint tensor: {exc}") from None
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after checkpoint tensors")
-    return AssignmentNetwork(tuple(layers)), step_count
+    try:
+        return AssignmentNetwork(tuple(layers)), step_count
+    except DimensionError as exc:  # no layers, or widths that do not chain
+        raise FormatError(f"checkpoint network: {exc}") from None

@@ -1,17 +1,19 @@
 """Cross-frame attention kernels and their cost model.
 
-Two single-head kernels share one scaled-dot-product core: the full
-quadratic baseline (keys and values from all tokens) and the compressed
-variant where keys and values come from a small anchor set while queries
-still come from every token. The exact multiply-accumulate counts of both
-are exposed so benchmarks can report measured time against predicted
-work.
+Two single-head kernels share one body, which checks the projection
+width, projects queries, keys and values, and runs the scaled-dot-product
+core: the full quadratic baseline (keys and values from all tokens) and
+the compressed variant where keys and values come from a small anchor set
+while queries still come from every token. Only the anchor kernel checks
+its anchors. The exact multiply-accumulate counts of both are exposed so
+benchmarks can report measured time against predicted work.
 
 The core walks the queries in row tiles whose scores fit in one reused
 buffer of about ``_TILE_BYTES``, so a call holds one score tile plus
 O(M*d) memory for its projections and output, never the M x N score
 matrix. Each tile is normalised after the value product, which divides
-M*d entries instead of M*N, and its output overwrites its query rows.
+M*d entries instead of M*N, and its output overwrites its query rows. The
+score exponentials come from ``core._exp_shifted``.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-center labels and the squared error summed from exact differences."""
+    """Nearest-center labels and the squared error summed from exact differences,
+    which give 0 where a point is its center (the expanded form leaves ~1e-16)."""
     labels = _pairwise_sq_dists(points, centers).argmin(axis=1)
     return labels, float(((points - centers[labels]) ** 2).sum())
 

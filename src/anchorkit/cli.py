@@ -325,6 +325,13 @@ def _check_modes(modes, flag: str) -> None:
             raise ConfigError(f"unknown {flag} mode {mode!r}")
 
 
+def _require_positive(cfg: dict, *names: str) -> None:
+    """Reject an integer setting below 1, naming its flag."""
+    for name in names:
+        if cfg[name] < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {cfg[name]}")
+
+
 def _time_best(fn: Callable[[], object], repeats: int) -> int:
     best = None
     for _ in range(repeats):
@@ -336,8 +343,7 @@ def _time_best(fn: Callable[[], object], repeats: int) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    if cfg["repeats"] < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {cfg['repeats']}")
+    _require_positive(cfg, "repeats", "channels", "proj_dim")
     _check_modes(cfg["modes"], "--modes")
     rng = seeded_rng(cfg["seed"])
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
@@ -389,8 +395,7 @@ def _build_predictor(cfg: dict) -> ddim.NoisePredictor:
 
 
 def cmd_ddim(cfg: dict) -> int:
-    if cfg["dim"] < 1:
-        raise ConfigError(f"--dim must be >= 1, got {cfg['dim']}")
+    _require_positive(cfg, "dim", "steps")
     sched = ddim.linear_beta_schedule(cfg["steps"])
     pred = _build_predictor(cfg)
     rng = seeded_rng(cfg["seed"])
@@ -410,6 +415,7 @@ def cmd_attend(cfg: dict) -> int:
     _check_modes([cfg["mode"]], "--mode")
     if cfg["mode"] == "anchor" and not cfg["anchors_file"]:
         raise ConfigError("anchor mode needs --anchors-file")
+    _require_positive(cfg, "proj_dim")
     tokens = load_tokens(cfg["input"])
     anchors = load_array(cfg["anchors_file"]) if cfg["mode"] == "anchor" else None
     proj = attention.init_projection(tokens.num_channels, cfg["proj_dim"], seed=cfg["seed"])

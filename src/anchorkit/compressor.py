@@ -4,8 +4,11 @@ Training is plain full-batch gradient descent on the anchor objective:
 every step recomputes assignments and pooled anchors from the current
 network, evaluates the losses, backpropagates into the network and takes
 one Adam step. There is no early stopping; a fixed step count keeps runs
-reproducible. Inference is a single forward pass, one softmax in the
-logits' buffer and one matrix multiplication.
+reproducible. Settings that cannot train (a top-k larger than the batch,
+a network of the wrong width) are rejected before a network is built or
+run. Inference is a single forward pass, one softmax in the logits'
+buffer and one matrix multiplication. ``anchor_means`` divides the pooled
+rows by their mass, with the degenerate-anchor rule of the objective.
 """
 
 from __future__ import annotations
@@ -123,6 +126,9 @@ def train(
         raise ConfigError(
             f"subsample {cfg.subsample} exceeds token count {tokens.num_tokens}"
         )
+    batch_size = cfg.subsample or tokens.num_tokens
+    if obj.top_k > batch_size:  # the objective would reject it only after a forward pass
+        raise ConfigError(f"top_k={obj.top_k} exceeds the {batch_size}-token batch")
     if net is None:
         net = assignnet.init_network(
             tokens.num_channels, obj.n_anchors, cfg.hidden_dims, seed=cfg.seed

@@ -1,10 +1,13 @@
-"""Dense containers, deterministic RNG, and the VLT1 binary tensor format.
+"""Dense containers, deterministic RNG, the shared softmax exponential, and
+the VLT1 binary tensor format.
 
 Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
 flattened from. Both are immutable after construction and validate their
 own invariants, so the numerical modules never re-check shapes or
-finiteness.
+finiteness. ``_exp_shifted`` is the one max-shifted exponential behind
+every softmax in the package: the objective's column softmax and
+contrastive rows, and the attention scores.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
 """

@@ -15,6 +15,12 @@ import numpy as np
 from .core import ConfigError, LatentTensor, TokenMatrix, seeded_rng
 
 
+def _check_spread(name: str, value: float) -> None:
+    """A spread must be >= 0, and [-value, value] must have a finite width."""
+    if not (value >= 0 and np.isfinite(2.0 * value)):
+        raise ConfigError(f"{name} must be >= 0 and below half the float64 range, got {value}")
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     n_clusters: int
@@ -27,8 +33,8 @@ class MixtureSpec:
     def __post_init__(self):
         if self.n_clusters < 1 or self.dim < 1 or self.points_per_cluster < 1:
             raise ConfigError("n_clusters, dim and points_per_cluster must be >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _check_spread("center_scale", self.center_scale)
+        _check_spread("noise_sigma", self.noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,13 @@ class DriftVideoSpec:
             raise ConfigError(
                 f"{self.n_objects} objects do not fit a "
                 f"{self.height}x{self.width} grid"
+            )
+        # grid positions must stay exact in float64, which keeps window indices in int64
+        reach = abs(self.drift_per_frame) * self.frames + self.width
+        if not reach < 2.0**53:  # also false for nan and inf
+            raise ConfigError(
+                f"drift_per_frame must be finite, with |drift_per_frame| * frames + width "
+                f"below 2**53, got {self.drift_per_frame}"
             )
 
 

@@ -192,6 +192,7 @@ class TestCriterion5DdimRoundTrip:
         assert worst_step <= 1e-10
 
 
+@pytest.mark.slow
 class TestCriterion6AnchorQuality:
     @pytest.mark.xfail(
         strict=True,
@@ -225,6 +226,7 @@ class TestCriterion6AnchorQuality:
         assert elapsed < 300.0
 
 
+@pytest.mark.slow
 class TestCriterion7PriorAblation:
     def test_regularizer_preserves_usage_entropy(self):
         """Collapse-prone tokens, 3 seeds: median entropy with weight 0.1
@@ -336,6 +338,7 @@ class TestCriterion9AttentionEquivalence:
         assert worst_anchor <= 1e-12
 
 
+@pytest.mark.slow
 class TestCriterion10AnchorCountSweep:
     def test_quantization_error_non_increasing_in_anchor_count(self):
         """Medians over 3 seeds on the benchmark mixture; training uses the

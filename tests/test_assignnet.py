@@ -17,7 +17,9 @@ from anchorkit.assignnet import (
     load_checkpoint,
     save_checkpoint,
 )
-from anchorkit.core import ConfigError, DimensionError, FormatError, TokenMatrix, seeded_rng
+from anchorkit.core import (
+    ConfigError, DimensionError, FormatError, TokenMatrix, _encode_array, seeded_rng,
+)
 
 
 def single_layer(weight, bias=None):
@@ -274,20 +276,35 @@ class TestCheckpoint:
         save_checkpoint(p2, net, 5)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("old,new", [
-        (b"layers 1\n", b"layers abc\n"),
-        (b"layer 2 3\n", b"layer 3\n"),
-        (b"anchorkit-checkpoint v1", b"anchorkit-checkpoint v1\xff"),
-        (b"step_count 5\n", b"step_count \xe9\n"),
-    ], ids=["layer-count-not-int", "layer-line-one-field", "non-utf8-header", "non-utf8-value"])
-    def test_malformed_manifest_raises_format_error(self, tmp_path, old, new):
+    @pytest.mark.parametrize("old,new,message", [
+        (b"layers 1\n", b"layers abc\n", "malformed"),
+        (b"layer 2 3\n", b"layer 3\n", "malformed"),
+        (b"anchorkit-checkpoint v1", b"anchorkit-checkpoint v1\xff", "malformed"),
+        (b"step_count 5\n", b"step_count \xe9\n", "malformed"),
+        (b"\nend\n", b"\nfin\n", "no end marker"),
+        (b"checkpoint v1", b"checkpoint v2", "not an anchorkit checkpoint"),
+        (b"activation tanh", b"activation relu", "unsupported activation"),
+        (b"layers 1\n", b"layers 2\n", "layer count"),
+        (b"layer 2 3\n", b"layer 3 2\n", "tensor shapes"),
+        (b"step_count 5\n", b"step_count -7\n", "negative step count"),
+    ], ids=["layer-count-not-int", "layer-line-one-field", "non-utf8-header", "non-utf8-value",
+            "no-end-marker", "wrong-first-line", "unsupported-activation",
+            "layer-count-mismatch", "shapes-disagree", "negative-step-count"])
+    def test_malformed_manifest_raises_format_error(self, tmp_path, old, new, message):
         net = init_network(3, 2, hidden_dims=(), seed=4)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net, 5)
         raw = path.read_bytes()
         assert raw.count(old) == 1
         path.write_bytes(raw.replace(old, new))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_raise_format_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_network(3, 2, hidden_dims=(), seed=4), 5)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -301,4 +318,19 @@ class TestCheckpoint:
         raw[first : first + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shapes", [[(4, 3), (2, 5)], []],
+                             ids=["widths-do-not-chain", "no-layers"])
+    def test_network_that_cannot_be_built_raises_format_error(self, tmp_path, shapes):
+        """A manifest whose layers are each well formed but do not make a
+        network is bad bytes too, not a DimensionError."""
+        lines = ["anchorkit-checkpoint v1", "activation tanh", "step_count 0",
+                 f"layers {len(shapes)}", *[f"layer {o} {i}" for o, i in shapes], "end"]
+        raw = ("\n".join(lines) + "\n").encode("utf-8")
+        for out_dim, in_dim in shapes:
+            raw += _encode_array(np.zeros((out_dim, in_dim))) + _encode_array(np.zeros(out_dim))
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="checkpoint network"):
             load_checkpoint(path)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorkit import cli
+from anchorkit import assignnet, cli
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.core import load_array, load_tokens
@@ -48,6 +48,29 @@ class TestGen:
     def test_requires_exactly_one_generator(self, tmp_path):
         assert run_cli("gen", "--out", str(tmp_path / "x")) == 2
         assert run_cli("gen", "--mixture", "--drift", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("kind,flag,value,field", [
+        ("--mixture", "--center-scale", "inf", "center_scale"),
+        ("--mixture", "--center-scale", "-1", "center_scale"),
+        ("--mixture", "--center-scale", "nan", "center_scale"),
+        ("--mixture", "--center-scale", "1e308", "center_scale"),
+        ("--mixture", "--noise-sigma", "nan", "noise_sigma"),
+        ("--mixture", "--noise-sigma", "inf", "noise_sigma"),
+        ("--mixture", "--noise-sigma", "-0.5", "noise_sigma"),
+        ("--drift", "--drift-per-frame", "1e300", "drift_per_frame"),
+        ("--drift", "--drift-per-frame", "-1e300", "drift_per_frame"),
+        ("--drift", "--drift-per-frame", "nan", "drift_per_frame"),
+        ("--drift", "--drift-per-frame", "inf", "drift_per_frame"),
+    ])
+    def test_bad_spread_or_drift_exits_2_naming_the_field(
+        self, tmp_path, capsys, kind, flag, value, field
+    ):
+        code = run_cli("gen", kind, f"{flag}={value}", "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture()
@@ -104,6 +127,20 @@ class TestTrain:
         rows = read_csv(rep)
         assert rows[0] == ["step", "total", "contrastive", "regularizer", "entropy"]
         assert len(rows) - 1 == -(-steps // log_every)
+
+    @pytest.mark.parametrize("extra", [("--top-k", "65"), ("--top-k", "11", "--subsample", "10")],
+                             ids=["top-k-over-token-count", "top-k-over-subsample"])
+    def test_top_k_over_batch_rejected_before_network_is_built(
+        self, tmp_path, tokens_file, monkeypatch, capsys, extra
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("network built for a run that cannot train")
+
+        monkeypatch.setattr(assignnet, "init_network", build)
+        code = run_cli("train", "--input", str(tokens_file), "--steps", "1", "--anchors", "4",
+                       "--hidden", "8", *extra)
+        assert code == 2
+        assert "top_k=" in capsys.readouterr().err.splitlines()[-1]
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("train", "--input", str(tmp_path / "nope.vlt"), "--steps", "1") == 2
@@ -231,6 +268,8 @@ class TestBench:
         ("--anchors", "0", "extents"),
         ("--repeats", "0", "--repeats"),
         ("--repeats", "-5", "--repeats"),
+        ("--channels", "0", "--channels"),
+        ("--proj-dim", "0", "--proj-dim"),
     ])
     def test_bad_setting_rejected_before_timing(self, monkeypatch, capsys, flag, value, named):
         timed = []
@@ -273,6 +312,7 @@ class TestDdim:
     @pytest.mark.parametrize("flag,value,named", [
         ("--dim", "0", "--dim"),
         ("--dim", "-2", "--dim"),
+        ("--steps", "0", "--steps"),
         ("--guidance", "nan", "guidance scale must be finite"),
         ("--guidance", "inf", "guidance scale must be finite"),
     ])
@@ -310,6 +350,18 @@ class TestAttend:
                        "--out", str(out), "--seed", "0") == 0
         assert load_array(out).shape[1] == 4
 
+    @pytest.mark.parametrize("extra,named", [
+        (("--mode", "bogus"), "bogus"),
+        (("--mode", "anchor"), "--anchors-file"),
+        (("--proj-dim", "0"), "--proj-dim"),
+    ])
+    def test_bad_setting_rejected_before_reading_input(self, tmp_path, capsys, extra, named):
+        code = run_cli("attend", "--input", str(tmp_path / "missing.vlt"), *extra)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert named in err
+        assert "missing.vlt" not in err
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, tokens_file):
@@ -331,6 +383,20 @@ class TestConfigFile:
         assert "config train.anchors = 4" in err  # file applies
         rows = read_csv(rep)
         assert len(rows) - 1 == 1  # ceil(2/2)
+
+    def test_boolean_from_file(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("mixture = yes\nclusters = 2\npoints = 3\n", encoding="utf-8")
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "mix")) == 0
+        assert load_tokens(tmp_path / "mix.vlt").num_tokens == 6
+        assert (tmp_path / "mix_labels.csv").exists()
+
+    def test_non_boolean_in_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("mixture = maybe\n", encoding="utf-8")
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "mix")) == 2
+        assert "not a boolean" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "mix.vlt").exists()
 
     def test_resolved_config_echoed(self, tmp_path, capsys):
         assert run_cli("ddim", "--steps", "2", "--seed", "3") == 0
