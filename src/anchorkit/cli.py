@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -148,6 +149,7 @@ OPTIONS: dict[str, list[Opt]] = {
 }
 
 
+@functools.cache  # built once per process; each parse_args returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anchorkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -326,9 +328,10 @@ def _check_modes(modes, flag: str) -> None:
 
 
 def _require_positive(cfg: dict, *names: str) -> None:
-    """Reject an integer setting below 1, naming its flag."""
+    """Reject an integer setting, or an entry of a list setting, below 1, naming its flag."""
     for name in names:
-        if cfg[name] < 1:
+        values = cfg[name] if isinstance(cfg[name], tuple) else (cfg[name],)
+        if min(values, default=1) < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {cfg[name]}")
 
 
@@ -343,17 +346,11 @@ def _time_best(fn: Callable[[], object], repeats: int) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    _require_positive(cfg, "repeats", "channels", "proj_dim")
+    _require_positive(cfg, "repeats", "channels", "proj_dim", "anchors", "m_values")
     _check_modes(cfg["modes"], "--modes")
     rng = seeded_rng(cfg["seed"])
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
     proj = attention.init_projection(c, d, seed=cfg["seed"])
-    # every point's cost before any timing, which also rejects extents < 1
-    cost = {
-        (m, mode): attention.flop_count(m, a, c, d, mode)
-        for m in cfg["m_values"]
-        for mode in cfg["modes"]
-    }
     rows = []
     for m in cfg["m_values"]:
         tokens = TokenMatrix(rng.standard_normal((m, c)))
@@ -361,7 +358,7 @@ def cmd_bench(cfg: dict) -> int:
         for mode in cfg["modes"]:
             kernel = _KERNELS[mode]
             wall_ns = _time_best(lambda: kernel(tokens, anchors, proj), cfg["repeats"])
-            flops = cost[m, mode]
+            flops = attention.flop_count(m, a, c, d, mode)
             rows.append((mode, m, a, c, d, wall_ns, flops))
             print(f"bench mode={mode} M={m} wall_ns={wall_ns} flops={flops}")
     if cfg["out"]:

@@ -57,7 +57,13 @@ def gaussian_mixture(spec: MixtureSpec) -> MixtureData:
     )
     m = spec.n_clusters * spec.points_per_cluster
     labels = np.repeat(np.arange(spec.n_clusters), spec.points_per_cluster)
-    points = centers[labels] + spec.noise_sigma * rng.standard_normal((m, spec.dim))
+    with np.errstate(over="ignore"):  # reported below as a ConfigError
+        points = centers[labels] + spec.noise_sigma * rng.standard_normal((m, spec.dim))
+    if not np.isfinite(points).all():
+        raise ConfigError(
+            f"noise_sigma={spec.noise_sigma} and center_scale={spec.center_scale} "
+            "put points beyond the float64 range"
+        )
     return MixtureData(TokenMatrix(points), labels, centers)
 
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from anchorkit.baselines import kmeans, quantization_error
+from anchorkit.baselines import MAX_ITERS, TOL, kmeans, quantization_error
 from anchorkit.core import ConfigError, DimensionError, TokenMatrix, seeded_rng
 from anchorkit.synth import MixtureSpec, gaussian_mixture
 
@@ -24,6 +24,88 @@ def brute_force_two_clusters(points):
         inertia = sum(((g - g.mean(axis=0)) ** 2).sum() for g in groups)
         best = min(best, inertia)
     return best
+
+
+def reference_pairwise_sq_dists(points, centers):
+    """The expanded squared distance with a fresh array per operation."""
+    d2 = ((points**2).sum(axis=1)[:, None] - 2.0 * points @ centers.T
+          + (centers**2).sum(axis=1)[None, :])
+    return np.maximum(d2, 0.0)
+
+
+def reference_kmeans(points, k, seed):
+    """k-means++ seeding, then Lloyd passes that update one cluster at a time.
+
+    Returns centers, labels, inertia and the inertia history, as ``kmeans`` does.
+    """
+    n = points.shape[0]
+    rng = seeded_rng(seed)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    best = reference_pairwise_sq_dists(points, centers[:1])[:, 0]
+    for i in range(1, k):
+        total = best.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=best / total))
+        centers[i] = points[idx]
+        best = np.minimum(best, reference_pairwise_sq_dists(points, centers[i : i + 1])[:, 0])
+    history = []
+    for _ in range(MAX_ITERS):
+        d2 = reference_pairwise_sq_dists(points, centers)
+        labels = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), labels].sum()))
+        new_centers = centers.copy()
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                new_centers[j] = points[members].mean(axis=0)
+            else:  # an empty cluster takes the point farthest from its center
+                new_centers[j] = points[int(d2[np.arange(n), labels].argmax())]
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        if shift < TOL:
+            break
+    labels = reference_pairwise_sq_dists(points, centers).argmin(axis=1)
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return centers, labels, inertia, (*history, inertia)
+
+
+def reference_cases():
+    """Mixtures at k = 1, 2, n_clusters and M (one of them single-channel),
+    negative zeros, and repeated points that leave clusters empty."""
+    cases = {}
+    for spec in (MixtureSpec(4, 5, 12, 1.0, 0.3, seed=11), MixtureSpec(3, 1, 20, 1.0, 0.3, seed=12)):
+        points = gaussian_mixture(spec).tokens.data
+        for k in (1, 2, spec.n_clusters, len(points)):
+            cases[f"mixture-c{spec.dim}-k{k}"] = (points, k)
+    cases["negative-zeros"] = (np.full((10, 3), -0.0), 3)
+    distinct = seeded_rng(13).standard_normal((3, 4))
+    cases["repeated"] = (np.repeat(distinct, 5, axis=0), 6)
+    cases["repeated-c1"] = (np.repeat(distinct[:, :1], 5, axis=0), 5)
+    return cases
+
+
+class TestKMeansReference:
+    """The bincount update equals the per-cluster loop bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_reference(self, case, seed):
+        points, k = reference_cases()[case]
+        centers, labels, inertia, history = reference_kmeans(points, k, seed)
+        got = kmeans(TokenMatrix(points), k, seed=seed)
+        np.testing.assert_array_equal(got.centers, centers)
+        np.testing.assert_array_equal(np.signbit(got.centers), np.signbit(centers))
+        np.testing.assert_array_equal(got.labels, labels)
+        assert got.inertia == inertia
+        assert got.inertia_history == history
+
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_quantization_error_equals_reference(self, case):
+        points, k = reference_cases()[case]
+        anchors = seeded_rng(k).standard_normal((k, points.shape[1]))
+        labels = reference_pairwise_sq_dists(points, anchors).argmin(axis=1)
+        want = float(((points - anchors[labels]) ** 2).sum()) / len(points)
+        assert quantization_error(TokenMatrix(points), anchors) == want
 
 
 class TestKMeans:

@@ -3,6 +3,7 @@
 import csv
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,20 @@ class TestGen:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert field in err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
+
+    def test_overflowing_noise_exits_2_without_warning(self, tmp_path, capsys):
+        """Each spread passes its own check, but the drawn points overflow."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("gen", "--mixture", "--noise-sigma=8e307", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "overflow encountered" not in err
+        assert "noise_sigma" in err.splitlines()[-1]
+        assert "center_scale" in err.splitlines()[-1]
         assert not list(tmp_path.iterdir())
 
 
@@ -264,8 +279,8 @@ class TestBench:
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--modes", "full,bogus", "bogus"),
-        ("--m-values", "64,0", "extents"),
-        ("--anchors", "0", "extents"),
+        ("--m-values", "64,0", "--m-values"),
+        ("--anchors", "0", "--anchors"),
         ("--repeats", "0", "--repeats"),
         ("--repeats", "-5", "--repeats"),
         ("--channels", "0", "--channels"),
@@ -406,6 +421,21 @@ class TestConfigFile:
 
 
 class TestSeedEnvFallback:
+    @pytest.mark.parametrize("env", [None, "77"])
+    def test_seed_does_not_carry_over_between_calls(self, tokens_file, tmp_path, monkeypatch,
+                                                    capsys, env):
+        """The parser is shared by every call, but no parsed value is."""
+        if env is None:
+            monkeypatch.delenv("ANCHOR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ANCHOR_SEED", env)
+        ckpt = str(tmp_path / "net.ckpt")
+        assert run_cli("train", "--input", str(tokens_file), "--steps", "1", "--anchors", "4",
+                       "--top-k", "2", "--checkpoint", ckpt, "--seed", "3") == 0
+        assert "config train.seed = 3" in capsys.readouterr().err
+        assert run_cli("compress", "--input", str(tokens_file), "--checkpoint", ckpt) == 0
+        assert f"config compress.seed = {env or 0}" in capsys.readouterr().err
+
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ANCHOR_SEED", "77")
         assert run_cli("ddim", "--steps", "2") == 0
@@ -429,6 +459,11 @@ def readme_commands():
             if words and words[0] == "anchorkit":
                 commands.append(words[1:])
     return commands
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
 
 
 class TestReadme:
