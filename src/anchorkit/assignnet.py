@@ -292,10 +292,7 @@ def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
                 f"tensor shapes {weight.shape}/{bias.shape} disagree with manifest "
                 f"({out_dim}, {in_dim})"
             )
-        try:
-            layers.append(Layer(weight, bias))
-        except NumericalError as exc:
-            raise FormatError(f"checkpoint tensor: {exc}") from None
+        layers.append(Layer(weight, bias))
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after checkpoint tensors")
     try:

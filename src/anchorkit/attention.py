@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix
-from .core import _exp_shifted, seeded_rng
+from .core import _anchor_matrix, _exp_shifted, seeded_rng
 
 # bytes of the one score buffer a call reuses for every row tile: big
 # enough for efficient matrix products (128 rows at 8192 keys), small
@@ -136,14 +136,7 @@ def anchor_attention(
     Cost is linear in the token count at a fixed anchor count, which is
     the whole point of compressing the latents first.
     """
-    anchors = np.asarray(anchors, dtype=np.float64)
-    if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != tokens.num_channels:
-        raise DimensionError(
-            f"anchors must be (n >= 1, {tokens.num_channels}), got {anchors.shape}"
-        )
-    if not np.isfinite(anchors).all():
-        raise NumericalError("anchors contain non-finite entries")
-    return _qkv_attend(tokens, anchors, proj)
+    return _qkv_attend(tokens, _anchor_matrix(anchors, tokens.num_channels), proj)
 
 
 def flop_count(

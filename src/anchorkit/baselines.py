@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, TokenMatrix, seeded_rng
+from .core import ConfigError, TokenMatrix, _anchor_matrix, seeded_rng
 
 MAX_ITERS = 100
 TOL = 1e-8
@@ -107,9 +107,5 @@ def kmeans(tokens: TokenMatrix, k: int, seed: int = 0) -> KMeansResult:
 
 def quantization_error(tokens: TokenMatrix, anchors: np.ndarray) -> float:
     """Mean squared distance from each token to its nearest anchor row."""
-    anchors = np.asarray(anchors, dtype=np.float64)
-    if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != tokens.num_channels:
-        raise DimensionError(
-            f"anchors must be (n >= 1, {tokens.num_channels}), got {anchors.shape}"
-        )
+    anchors = _anchor_matrix(anchors, tokens.num_channels)
     return _nearest(tokens.data, anchors, _point_terms(tokens.data))[1] / tokens.num_tokens

@@ -1,13 +1,13 @@
 """End-to-end anchor learning: the training loop and the one-pass extractor.
 
 Training is plain full-batch gradient descent on the anchor objective:
-every step recomputes assignments and pooled anchors from the current
-network, evaluates the losses, backpropagates into the network and takes
-one Adam step. There is no early stopping; a fixed step count keeps runs
-reproducible. Settings that cannot train (a top-k larger than the batch,
-a network of the wrong width) are rejected before a network is built or
-run. Inference is a single forward pass, one softmax in the logits'
-buffer and one matrix multiplication. ``anchor_means`` divides the pooled
+every step runs the network, softmaxes its logits in their own buffer,
+evaluates the losses on those assignments, backpropagates into the
+network and takes one Adam step. There is no early stopping; a fixed
+step count keeps runs reproducible. Settings that cannot train (a top-k
+larger than the batch, a network of the wrong width) are rejected before
+a network is built or run. Inference is the same forward pass and
+softmax, then one matrix multiplication. ``anchor_means`` divides the pooled
 rows by their mass, with the degenerate-anchor rule of the objective.
 """
 
@@ -147,12 +147,13 @@ def train(
         else:
             idx = np.sort(rng.choice(tokens.num_tokens, size=cfg.subsample, replace=False))
             batch = TokenMatrix(tokens.data[idx])
-        # one forward pass per step; backprop reuses its activations
+        # one forward pass per step; backprop reuses its activations, the softmax its logits
         acts = assignnet._forward_cached(net, batch)
         try:
-            value = total_loss(acts[-1], batch, obj)
-        except NumericalError:  # the column softmax found non-finite logits
+            assignments = _column_softmax(acts[-1], acts[-1])
+        except NumericalError:
             raise TrainingDivergedError(step, "logits") from None
+        value = total_loss(assignments, batch, obj)
         for term, name in ((value.contrastive, "contrastive"), (value.regularizer, "regularizer")):
             if not np.isfinite(term):
                 raise TrainingDivergedError(step, name)

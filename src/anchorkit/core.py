@@ -7,7 +7,8 @@ flattened from. Both are immutable after construction and validate their
 own invariants, so the numerical modules never re-check shapes or
 finiteness. ``_exp_shifted`` is the one max-shifted exponential behind
 every softmax in the package: the objective's column softmax and
-contrastive rows, and the attention scores.
+contrastive rows, and the attention scores. ``_anchor_matrix`` is the one
+check of an anchor set handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
 """
@@ -86,6 +87,16 @@ def _as_owned_f64(data, name: str) -> np.ndarray:
         raise NumericalError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _anchor_matrix(anchors, channels: int) -> np.ndarray:
+    """``anchors`` as a float64 (n >= 1, ``channels``) matrix of finite rows."""
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != channels:
+        raise DimensionError(f"anchors must be (n >= 1, {channels}), got {anchors.shape}")
+    if not np.isfinite(anchors).all():
+        raise NumericalError("anchors contain non-finite entries")
+    return anchors
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,7 @@ def _encode_array(arr: np.ndarray) -> bytes:
 
 
 def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    """Decode one VLT1 record starting at ``offset``; returns (array, next offset)."""
+    """One VLT1 record at ``offset`` as (finite array, next offset); bad bytes raise FormatError."""
     if len(buf) < offset + 4 and MAGIC.startswith(buf[offset:]):
         raise TruncatedPayloadError("file ends inside the magic bytes")
     if buf[offset : offset + 4] != MAGIC:
@@ -222,6 +233,8 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
             f"payload needs {nbytes} bytes, {len(buf) - offset} remain"
         )
     flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+    if not np.isfinite(flat).all():  # checked before the cast, which warns on a signalling NaN
+        raise FormatError(f"non-finite values in the payload at offset {offset}")
     arr = flat.reshape(shape).astype(np.float64)
     return arr, offset + nbytes
 

@@ -10,12 +10,14 @@ of the tokens. Training balances two forces:
   anchors (categorical-to-uniform by default, or a Gaussian
   moment-matching variant for ablations); a zero weight turns it off.
 
-Each term has one ``*_value_and_grad`` function that shares its work
-between the value and the gradient; ``total_loss`` calls each once per
-training step. ``contrastive_loss``, ``contrastive_grad``, ``kl_uniform``
-and ``kl_uniform_grad`` return one half of such a call. Elementwise
-steps write into (n_anchors, M) buffers the pass already holds; no public
-function writes its arguments.
+Every loss term takes the assignments, never the logits: its arguments
+are ``(assignments, tokens[, cfg])``, and a term that needs the pooled
+anchors pools them itself. Each term has one ``*_value_and_grad``
+function that shares its work between the value and the gradient;
+``total_loss`` calls each once per training step. ``contrastive_loss``,
+``contrastive_grad``, ``kl_uniform`` and ``kl_uniform_grad`` return one
+half of such a call. Elementwise steps write into (n_anchors, M) buffers
+the pass already holds; no public function writes its arguments.
 
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
@@ -185,10 +187,7 @@ def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
 
 
 def contrastive_value_and_grad(
-    anchors: np.ndarray,
-    tokens: TokenMatrix,
-    assignments: np.ndarray,
-    cfg: AnchorConfig,
+    assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig
 ) -> tuple[float, np.ndarray]:
     """Summed top-k contrastive term over all anchors, and its logit gradient.
 
@@ -197,14 +196,15 @@ def contrastive_value_and_grad(
     anchor's term is the mean negative log-probability of its positives
     under a temperature-scaled softmax of cosine similarities.
 
-    ``anchors`` must be the pooled product of (assignments, tokens): the
-    gradient flows through anchors = R Z and then through the column
-    softmax, with the top-k sets held fixed. Tokens are data and receive
-    no gradient. The similarity matrix, its exponentials and the top-k
-    mask are built once and shared by the value and the gradient, in four
-    (n_anchors, M) buffers besides the mask.
+    The anchors are pooled here, anchors = R Z, and the gradient flows
+    through that product and then through the column softmax, with the
+    top-k sets held fixed. Tokens are data and receive no gradient. The
+    similarity matrix, its exponentials and the top-k mask are built once
+    and shared by the value and the gradient, in four (n_anchors, M)
+    buffers besides the mask.
     """
     z = tokens.data
+    anchors = pool_anchors(assignments, tokens)  # also checks the shapes
     sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, tokens)
     scaled = sims / cfg.temperature
     mask = _top_k_mask(assignments, cfg.top_k)
@@ -234,16 +234,15 @@ def contrastive_value_and_grad(
     return value, _softmax_backward(assignments, d_assignments, sims)
 
 
-def contrastive_loss(anchors: np.ndarray, tokens: TokenMatrix, assignments: np.ndarray,
-                     cfg: AnchorConfig) -> float:
+def contrastive_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> float:
     """The value of :func:`contrastive_value_and_grad`."""
-    return contrastive_value_and_grad(anchors, tokens, assignments, cfg)[0]
+    return contrastive_value_and_grad(assignments, tokens, cfg)[0]
 
 
-def contrastive_grad(anchors: np.ndarray, tokens: TokenMatrix, assignments: np.ndarray,
+def contrastive_grad(assignments: np.ndarray, tokens: TokenMatrix,
                      cfg: AnchorConfig) -> np.ndarray:
     """The gradient of :func:`contrastive_value_and_grad`."""
-    return contrastive_value_and_grad(anchors, tokens, assignments, cfg)[1]
+    return contrastive_value_and_grad(assignments, tokens, cfg)[1]
 
 
 def _softmax_backward(
@@ -345,26 +344,24 @@ def gaussian_prior_value_and_grad(
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """One evaluation of the full objective at a logit matrix."""
+    """One evaluation of the full objective at an assignment matrix, with its logit gradient."""
 
     total: float
     contrastive: float
     regularizer: float
     grad_logits: np.ndarray
     assignments: np.ndarray
-    anchors: np.ndarray
 
 
-def total_loss(logits: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> ObjectiveValue:
+def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> ObjectiveValue:
     """Contrastive term plus the weighted prior regularizer, with gradient.
 
-    ``prior_mode`` picks the regularizer: categorical-to-uniform or
-    Gaussian moment matching. At ``kl_weight = 0`` no regularizer is
-    evaluated and ``regularizer`` is 0.0.
+    ``assignments`` is :func:`soft_assign` of the logits. ``prior_mode``
+    picks the regularizer: categorical-to-uniform or Gaussian moment
+    matching. At ``kl_weight = 0`` no regularizer is evaluated and
+    ``regularizer`` is 0.0.
     """
-    assignments = soft_assign(logits)
-    anchors = pool_anchors(assignments, tokens)
-    contrast, grad = contrastive_value_and_grad(anchors, tokens, assignments, cfg)
+    contrast, grad = contrastive_value_and_grad(assignments, tokens, cfg)
     reg = 0.0
     if cfg.kl_weight != 0.0:
         if cfg.prior_mode == "categorical":
@@ -374,4 +371,4 @@ def total_loss(logits: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> Ob
         reg_grad *= cfg.kl_weight
         grad += reg_grad
     total = contrast + cfg.kl_weight * reg
-    return ObjectiveValue(total, contrast, reg, grad, assignments, anchors)
+    return ObjectiveValue(total, contrast, reg, grad, assignments)

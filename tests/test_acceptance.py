@@ -72,11 +72,12 @@ class TestCriterion1GradientFidelity:
                 margins.append(row[k - 1] - row[k] if k < m else np.inf)
             if min(margins) < 1e-5:
                 continue
-            value = total_loss(logits, tokens, cfg)
+            value = total_loss(assignments, tokens, cfg)
             grads = assignnet.backward(net, tokens, value.grad_logits)
 
             def loss_of(candidate):
-                return total_loss(assignnet.forward(candidate, tokens), tokens, cfg).total
+                return total_loss(soft_assign(assignnet.forward(candidate, tokens)), tokens,
+                                  cfg).total
 
             for li in range(len(net.layers)):
                 for which in (0, 1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anchorkit.baselines import MAX_ITERS, TOL, kmeans, quantization_error
-from anchorkit.core import ConfigError, DimensionError, TokenMatrix, seeded_rng
+from anchorkit.core import ConfigError, DimensionError, NumericalError, TokenMatrix, seeded_rng
 from anchorkit.synth import MixtureSpec, gaussian_mixture
 
 
@@ -202,3 +202,18 @@ class TestQuantizationError:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             quantization_error(TokenMatrix(np.ones((3, 2))), np.ones((2, 5)))
+
+    @pytest.mark.parametrize("anchors", [np.empty((0, 2)), np.ones(2), np.ones((1, 2, 1))],
+                             ids=["no-rows", "1-D", "3-D"])
+    def test_anchor_set_that_is_not_a_matrix_rejected(self, anchors):
+        with pytest.raises(DimensionError):
+            quantization_error(TokenMatrix(np.ones((3, 2))), anchors)
+
+    @pytest.mark.parametrize("anchors", [[[np.nan, 0.0], [1.0, 1.0]],
+                                         [[np.inf, 0.0], [1.0, 1.0]],
+                                         [[1.0, 1.0], [0.0, -np.inf]]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_anchors_named(self, anchors):
+        """A non-finite row would otherwise win or poison the nearest-row search."""
+        with pytest.raises(NumericalError, match="anchors"):
+            quantization_error(TokenMatrix(np.ones((3, 2))), np.array(anchors))

@@ -365,6 +365,20 @@ class TestAttend:
                        "--out", str(out), "--seed", "0") == 0
         assert load_array(out).shape[1] == 4
 
+    def test_signalling_nan_input_exits_2_without_warning(self, tmp_path, tokens_file, capsys):
+        raw = bytearray(tokens_file.read_bytes())
+        raw[-4:] = b"\x01\x00\x80\x7f"  # float32 signalling NaN in the last token
+        bad = tmp_path / "bad.vlt"
+        bad.write_bytes(bytes(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("attend", "--input", str(bad), "--mode", "full",
+                           "--out", str(tmp_path / "attn.vlt"))
+        assert code == 2
+        assert not caught
+        assert "non-finite" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "attn.vlt").exists()
+
     @pytest.mark.parametrize("extra,named", [
         (("--mode", "bogus"), "bogus"),
         (("--mode", "anchor"), "--anchors-file"),

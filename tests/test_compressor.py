@@ -17,7 +17,7 @@ from anchorkit.compressor import (
     train,
 )
 from anchorkit.core import ConfigError, NumericalError, TokenMatrix, seeded_rng
-from anchorkit.objective import AnchorConfig, total_loss
+from anchorkit.objective import AnchorConfig, soft_assign, total_loss
 from anchorkit.synth import MixtureSpec, gaussian_mixture
 
 
@@ -68,7 +68,8 @@ class TestTrainContract:
         expected = init_network(tokens.num_channels, 4, (8, 6), seed=2)
         state = assignnet.init_adam(expected, cfg.adam)
         for step in range(1, 4):
-            value = total_loss(assignnet.forward(expected, tokens), tokens, cfg.objective)
+            r = soft_assign(assignnet.forward(expected, tokens))
+            value = total_loss(r, tokens, cfg.objective)
             grads = assignnet.backward(expected, tokens, value.grad_logits)
             expected, state = assignnet.adam_step(expected, grads, state)
             assert report.records[step - 1].total == value.total
@@ -120,6 +121,23 @@ class TestTrainContract:
         with pytest.raises(TrainingDivergedError) as err:
             train(tokens, cfg, net=net)
         assert (err.value.step, err.value.term) == (1, "logits")
+
+    @pytest.mark.parametrize("mode", ["categorical", "gaussian"])
+    def test_one_step_traced_peak_below_six_and_a_quarter_assignment_matrices(self, mode):
+        """At A=512, M=4096, hidden (128, 128) a training step softmaxes
+        in the logits' buffer, so it peaks near 5.7 assignment matrices
+        (a fresh assignment array peaked near 6.7)."""
+        tokens = random_tokens(m=4096, c=16, seed=16)
+        net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
+        cfg = TrainConfig(steps=1, seed=0, hidden_dims=(128, 128),
+                          objective=AnchorConfig(n_anchors=512, prior_mode=mode))
+        tracemalloc.start()
+        try:
+            train(tokens, cfg, net=net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.25 * 512 * 4096 * 8
 
     def test_subsample_contract(self):
         tokens = random_tokens(m=20, c=3, seed=7)
@@ -290,8 +308,6 @@ class TestUsageEntropy:
 
     def test_bounds(self):
         rng = seeded_rng(5)
-        from anchorkit.objective import soft_assign
-
         r = soft_assign(rng.standard_normal((6, 40)))
         assert 0.0 <= anchor_usage_entropy(r) <= np.log(6.0) + 1e-12
 

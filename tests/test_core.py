@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from anchorkit.assignnet import init_network, load_checkpoint, save_checkpoint
 from anchorkit.core import (
     BadMagicError,
     DimensionError,
@@ -13,8 +16,10 @@ from anchorkit.core import (
     Provenance,
     TokenMatrix,
     TruncatedPayloadError,
+    _encode_array,
     flatten,
     load_array,
+    load_latent,
     load_tokens,
     save_array,
     save_tokens,
@@ -180,6 +185,83 @@ class TestVlt1Format:
         path = tmp_path / "t.vlt"
         save_array(path, arr)
         np.testing.assert_array_equal(load_array(path), arr)
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000],
+                             ids=["nan", "signalling-nan", "inf", "-inf"])
+    @pytest.mark.parametrize("loader,shape", [(load_array, (3,)), (load_tokens, (2, 3)),
+                                              (load_latent, (1, 2, 1, 3))])
+    def test_non_finite_payload_is_a_format_error(self, tmp_path, bits, loader, shape):
+        """Checked on the stored float32 values, so even a signalling NaN
+        raises before the float64 cast could warn about it."""
+        raw = bytearray(_encode_array(np.ones(shape)))
+        raw[-8:-4] = bits.to_bytes(4, "little")
+        path = tmp_path / "m.vlt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            loader(path)
+
+
+# little-endian float32 signalling NaN, quiet NaN, +inf and -inf
+FLOAT32_SPECIALS = st.sampled_from(
+    [b"\x01\x00\x80\x7f", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f", b"\x00\x00\x80\xff"]
+)
+
+
+def mutated(draw, raw: bytes) -> bytes:
+    """``raw`` as it is, cut short, with bytes overwritten, extended, or
+    replaced by arbitrary bytes."""
+    raw = bytearray(raw)
+    how = draw(st.sampled_from(["valid", "cut", "overwrite", "extend", "arbitrary"]))
+    if how == "cut":
+        del raw[draw(st.integers(0, len(raw) - 1)):]
+    elif how == "overwrite":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(raw) - 1))
+            raw[at : at + 4] = draw(st.one_of(st.binary(min_size=1, max_size=4), FLOAT32_SPECIALS))
+    elif how == "extend":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    elif how == "arbitrary":
+        raw = bytearray(draw(st.binary(max_size=64)))
+    return bytes(raw)
+
+
+@st.composite
+def vlt1_files(draw):
+    """A mutated VLT1 record of any float32 values, NaN and inf included."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    values = draw(st.lists(st.floats(width=32), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return mutated(draw, _encode_array(np.array(values, dtype=np.float32).reshape(shape)))
+
+
+class TestDecoderFuzz:
+    """Decoders return finite data or raise a FormatError on any bytes."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=vlt1_files())
+    def test_load_array(self, tmp_path, raw):
+        path = tmp_path / "m.vlt"
+        path.write_bytes(raw)
+        try:
+            arr = load_array(path)
+        except FormatError:
+            return
+        assert np.isfinite(arr).all()
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_checkpoint(self, tmp_path, data):
+        path = tmp_path / "net.ckpt"
+        net = init_network(3, 2, hidden_dims=(2,), seed=data.draw(st.integers(0, 3)))
+        save_checkpoint(path, net, data.draw(st.integers(0, 9)))
+        path.write_bytes(mutated(data.draw, path.read_bytes()))
+        try:
+            net, _ = load_checkpoint(path)
+        except FormatError:
+            return
+        assert all(np.isfinite(l.weight).all() and np.isfinite(l.bias).all() for l in net.layers)
 
 
 class TestSeededRng:

@@ -241,15 +241,13 @@ class TestContrastiveLoss:
         z = TokenMatrix([[1.0, 2.0]])
         cfg = AnchorConfig(n_anchors=1, top_k=1)
         r = np.array([[1.0]])
-        c = pool_anchors(r, z)
-        assert contrastive_loss(c, z, r, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert contrastive_loss(r, z, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_identical_tokens_log_two(self):
         z = TokenMatrix([[1.0, 2.0], [1.0, 2.0]])
         cfg = AnchorConfig(n_anchors=1, top_k=1)
         r = np.array([[1.0, 1.0]])
-        c = pool_anchors(r, z)
-        assert contrastive_loss(c, z, r, cfg) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert contrastive_loss(r, z, cfg) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_matches_naive_double_loop(self):
         """Vectorized loss equals the definitional double loop to 1e-12."""
@@ -258,7 +256,7 @@ class TestContrastiveLoss:
         cfg = AnchorConfig(n_anchors=2, top_k=2, temperature=0.1)
         r = soft_assign(rng.standard_normal((2, 4)))
         c = pool_anchors(r, z)
-        value = contrastive_loss(c, z, r, cfg)
+        value = contrastive_loss(r, z, cfg)
 
         total = 0.0
         for a in range(2):
@@ -282,9 +280,8 @@ class TestContrastiveLoss:
         z = rng.standard_normal((6, 4)) + 2.0
         cfg = AnchorConfig(n_anchors=3, top_k=2)
         r = soft_assign(rng.standard_normal((3, 6)))
-        base = contrastive_loss(pool_anchors(r, TokenMatrix(z)), TokenMatrix(z), r, cfg)
-        zs = 7.5 * z
-        scaled = contrastive_loss(pool_anchors(r, TokenMatrix(zs)), TokenMatrix(zs), r, cfg)
+        base = contrastive_loss(r, TokenMatrix(z), cfg)
+        scaled = contrastive_loss(r, TokenMatrix(7.5 * z), cfg)
         assert scaled == pytest.approx(base, abs=1e-9)
 
 
@@ -296,14 +293,9 @@ class TestContrastiveGrad:
         cfg = AnchorConfig(n_anchors=3, top_k=2)
         logits = seeded_rng(10).standard_normal((3, 5))
         r = soft_assign(logits)
-        grad = contrastive_grad(pool_anchors(r, z), z, r, cfg)
+        grad = contrastive_grad(r, z, cfg)
         assert np.abs(grad).max() < 1e-6
-        numeric = fd_grad(
-            lambda l: contrastive_loss(
-                pool_anchors(soft_assign(l), z), z, soft_assign(l), cfg
-            ),
-            logits,
-        )
+        numeric = fd_grad(lambda l: contrastive_loss(soft_assign(l), z, cfg), logits)
         np.testing.assert_allclose(grad, numeric, atol=1e-6)
 
     def test_matches_finite_differences(self):
@@ -313,15 +305,14 @@ class TestContrastiveGrad:
         logits = rng.standard_normal((3, 6))
 
         def value(l):
-            r = soft_assign(l)
-            return contrastive_loss(pool_anchors(r, z), z, r, cfg)
+            return contrastive_loss(soft_assign(l), z, cfg)
 
         r = soft_assign(logits)
         # stability: the probe must not flip any top-k set
         for a in range(3):
             row = np.sort(r[a])[::-1]
             assert row[cfg.top_k - 1] - row[cfg.top_k] > 1e-4
-        analytic = contrastive_grad(pool_anchors(r, z), z, r, cfg)
+        analytic = contrastive_grad(r, z, cfg)
         numeric = fd_grad(value, logits)
         assert rel_err(analytic, numeric) < 1e-5
 
@@ -330,9 +321,8 @@ class TestContrastiveGrad:
         z = TokenMatrix(rng.standard_normal((5, 3)))
         cfg = AnchorConfig(n_anchors=2, top_k=2)
         r = soft_assign(rng.standard_normal((2, 5)))
-        c = pool_anchors(r, z)
-        g = contrastive_grad(c, z, r, cfg)
-        np.testing.assert_allclose(2.0 * g, 2.0 * contrastive_grad(c, z, r, cfg), rtol=1e-15)
+        g = contrastive_grad(r, z, cfg)
+        np.testing.assert_allclose(2.0 * g, 2.0 * contrastive_grad(r, z, cfg), rtol=1e-15)
 
 
 class TestGaussianPriorKl:
@@ -395,10 +385,10 @@ class TestTotalLoss:
         z = TokenMatrix(rng.standard_normal((6, 3)))
         logits = rng.standard_normal((3, 6))
         cfg = AnchorConfig(n_anchors=3, top_k=2, kl_weight=0.0)
-        out = total_loss(logits, z, cfg)
         r = soft_assign(logits)
-        assert out.total == pytest.approx(contrastive_loss(pool_anchors(r, z), z, r, cfg))
-        np.testing.assert_array_equal(out.grad_logits, contrastive_grad(pool_anchors(r, z), z, r, cfg))
+        out = total_loss(r, z, cfg)
+        assert out.total == pytest.approx(contrastive_loss(r, z, cfg))
+        np.testing.assert_array_equal(out.grad_logits, contrastive_grad(r, z, cfg))
 
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     def test_zero_weight_evaluates_no_regularizer(self, mode, monkeypatch):
@@ -411,9 +401,9 @@ class TestTotalLoss:
         z = TokenMatrix(rng.standard_normal((5, 3)))
         logits = rng.standard_normal((2, 5))
         cfg = AnchorConfig(n_anchors=2, top_k=2, kl_weight=0.0, prior_mode=mode)
-        out = total_loss(logits, z, cfg)
         r = soft_assign(logits)
-        contrast, grad = contrastive_value_and_grad(pool_anchors(r, z), z, r, cfg)
+        out = total_loss(r, z, cfg)
+        contrast, grad = contrastive_value_and_grad(r, z, cfg)
         assert out.regularizer == 0.0
         np.testing.assert_array_equal(out.total, contrast)
         np.testing.assert_array_equal(out.grad_logits, grad)
@@ -423,9 +413,9 @@ class TestTotalLoss:
         z = TokenMatrix(rng.standard_normal((6, 4)))
         logits = rng.standard_normal((3, 6))
         cfg = AnchorConfig(n_anchors=3, top_k=2, kl_weight=0.37)
-        out = total_loss(logits, z, cfg)
         r = soft_assign(logits)
-        expected = contrastive_loss(pool_anchors(r, z), z, r, cfg) + 0.37 * kl_uniform(r)
+        out = total_loss(r, z, cfg)
+        expected = contrastive_loss(r, z, cfg) + 0.37 * kl_uniform(r)
         np.testing.assert_allclose(out.total, expected, atol=1e-12)
 
     def test_gaussian_mode_uses_gaussian_term(self):
@@ -433,8 +423,9 @@ class TestTotalLoss:
         z = TokenMatrix(rng.standard_normal((6, 3)))
         logits = rng.standard_normal((2, 6))
         cfg = AnchorConfig(n_anchors=2, top_k=2, kl_weight=0.2, prior_mode="gaussian")
-        out = total_loss(logits, z, cfg)
-        assert out.regularizer == pytest.approx(gaussian_prior_value_and_grad(soft_assign(logits), z)[0])
+        r = soft_assign(logits)
+        out = total_loss(r, z, cfg)
+        assert out.regularizer == pytest.approx(gaussian_prior_value_and_grad(r, z)[0])
 
     def test_full_gradient_matches_finite_differences(self):
         rng = seeded_rng(20)
@@ -442,8 +433,8 @@ class TestTotalLoss:
         logits = rng.standard_normal((3, 8))
         for mode in PRIOR_MODES:
             cfg = AnchorConfig(n_anchors=3, top_k=2, kl_weight=0.3, prior_mode=mode)
-            analytic = total_loss(logits, z, cfg).grad_logits
-            numeric = fd_grad(lambda l: total_loss(l, z, cfg).total, logits)
+            analytic = total_loss(soft_assign(logits), z, cfg).grad_logits
+            numeric = fd_grad(lambda l: total_loss(soft_assign(l), z, cfg).total, logits)
             assert rel_err(analytic, numeric) < 1e-5
 
 
@@ -527,7 +518,7 @@ class TestSinglePass:
         if quantised:  # repeated logit columns tie responsibilities at the top-k cut
             logits = np.tile(np.round(logits[:, :8]), 6)
         cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode)
-        out = total_loss(logits, z, cfg)
+        out = total_loss(soft_assign(logits), z, cfg)
         total, contrast, reg, grad = two_pass_total_loss(logits, z, cfg)
         np.testing.assert_array_equal(out.total, total)
         np.testing.assert_array_equal(out.contrastive, contrast)
@@ -609,18 +600,21 @@ class TestInPlaceObjective:
         for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
             np.testing.assert_array_equal(got, want)
         cfg = AnchorConfig(n_anchors=6, top_k=5)
-        anchors = r @ z.data
-        for got, want in zip(contrastive_value_and_grad(anchors, z, r, cfg),
-                             reference_contrastive_value_and_grad(anchors, z, r, cfg)):
+        for got, want in zip(contrastive_value_and_grad(r, z, cfg),
+                             reference_contrastive_value_and_grad(r @ z.data, z, r, cfg)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     def test_public_functions_leave_inputs_unchanged(self, mode):
         logits, z = logit_cases()["random"]
         logits_seen, data = logits.copy(), z.data.copy()
-        soft_assign(logits_seen)
-        total_loss(logits_seen, z, AnchorConfig(n_anchors=6, top_k=5, prior_mode=mode))
+        r = soft_assign(logits_seen)
+        r_seen = r.copy()
+        cfg = AnchorConfig(n_anchors=6, top_k=5, prior_mode=mode)
+        total_loss(r_seen, z, cfg)
+        contrastive_value_and_grad(r_seen, z, cfg)
         np.testing.assert_array_equal(logits_seen, logits)
+        np.testing.assert_array_equal(r_seen, r)
         np.testing.assert_array_equal(z.data, data)
 
     def test_soft_assign_traced_peak_is_one_output(self):
