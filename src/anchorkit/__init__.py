@@ -51,7 +51,6 @@ from .core import (
     FormatError,
     LatentTensor,
     NumericalError,
-    Provenance,
     TokenMatrix,
     TruncatedPayloadError,
     ZeroExtentError,

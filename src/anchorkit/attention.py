@@ -6,7 +6,9 @@ core: the full quadratic baseline (keys and values from all tokens) and
 the compressed variant where keys and values come from a small anchor set
 while queries still come from every token. Only the anchor kernel checks
 its anchors. The exact multiply-accumulate counts of both are exposed so
-benchmarks can report measured time against predicted work.
+benchmarks can report measured time against predicted work. ``align``
+and ``unalign`` regroup a latent per spatial position for cross-frame
+attention through ``core.flatten``/``unflatten``.
 
 The core walks the queries in row tiles whose scores fit in one reused
 buffer of about ``_TILE_BYTES``, so a call holds one score tile plus
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix
-from .core import _anchor_matrix, _exp_shifted, seeded_rng
+from .core import _anchor_matrix, _exp_shifted, flatten, seeded_rng, unflatten
 
 # bytes of the one score buffer a call reuses for every row tile: big
 # enough for efficient matrix products (128 rows at 8192 keys), small
@@ -66,23 +68,21 @@ def init_projection(input_dim: int, proj_dim: int, seed: int = 0) -> AttentionPr
 
 
 def align(latent: LatentTensor) -> np.ndarray:
-    """Spatial-major view for cross-frame attention: (h*w, frames, channels).
+    """Spatial-major read-only view for cross-frame attention: (h*w, frames, channels).
 
     Pure permutation: output[p][f][ch] = input[f][ch][p // w][p % w].
     """
     l, c, h, w = latent.data.shape
-    return latent.data.transpose(2, 3, 0, 1).reshape(h * w, l, c)
+    return flatten(latent).data.reshape(l, h * w, c).swapaxes(0, 1)
 
 
 def unalign(aligned: np.ndarray, height: int, width: int) -> LatentTensor:
     """Inverse of :func:`align`."""
     aligned = np.asarray(aligned, dtype=np.float64)
-    if aligned.ndim != 3 or aligned.shape[0] != height * width:
-        raise DimensionError(
-            f"aligned block must be ({height * width}, frames, channels), got {aligned.shape}"
-        )
+    if aligned.ndim != 3:
+        raise DimensionError(f"aligned block must be rank 3, got shape {aligned.shape}")
     hw, l, c = aligned.shape
-    return LatentTensor(aligned.reshape(height, width, l, c).transpose(2, 3, 0, 1))
+    return unflatten(TokenMatrix(aligned.swapaxes(0, 1).reshape(l * hw, c)), l, height, width)
 
 
 def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -66,6 +66,12 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _parse_seed(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Opt:
     name: str
@@ -75,7 +81,7 @@ class Opt:
     is_flag: bool = False
 
 
-_COMMON_SEED = Opt("seed", int, None, "global RNG seed (env ANCHOR_SEED, then 0)")
+_COMMON_SEED = Opt("seed", _parse_seed, 0, "global RNG seed (env ANCHOR_SEED, then 0)")
 
 OPTIONS: dict[str, list[Opt]] = {
     "gen": [
@@ -181,25 +187,31 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over defaults; reject unknown keys."""
+    """Merge flags over config-file values over defaults; name the source of a bad value."""
     opts = {o.name: o for o in OPTIONS[command]}
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(opts)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    env_seed = os.environ.get(SEED_ENV_VAR)
     resolved = {}
     for name, opt in opts.items():
         flag_value = getattr(args, name)
-        if flag_value is not None:
-            value = flag_value if opt.is_flag else opt.conv(flag_value)
-        elif name in file_values:
-            value = opt.conv(file_values[name])
-        else:
-            value = opt.default
+        source = "--" + name.replace("_", "-")
+        try:
+            if flag_value is not None:
+                value = flag_value if opt.is_flag else opt.conv(flag_value)
+            elif name in file_values:
+                source = f"{args.config} key {name}"
+                value = opt.conv(file_values[name])
+            elif name == "seed" and env_seed:
+                source = SEED_ENV_VAR
+                value = opt.conv(env_seed)
+            else:
+                value = opt.default
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
         resolved[name] = value
-    if resolved.get("seed") is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        resolved["seed"] = int(env) if env else 0
     return resolved
 
 
@@ -268,7 +280,8 @@ def _train_config(cfg: dict) -> compressor.TrainConfig:
 
 
 def cmd_train(cfg: dict) -> int:
-    train_cfg = _train_config(cfg)  # reject bad settings before reading any input
+    _require_positive(cfg, "hidden")  # reject bad settings before reading any input
+    train_cfg = _train_config(cfg)
     if not cfg["input"]:
         raise ConfigError("--input is required")
     tokens = load_tokens(cfg["input"])

@@ -3,12 +3,14 @@ the VLT1 binary tensor format.
 
 Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
-flattened from. Both are immutable after construction and validate their
-own invariants, so the numerical modules never re-check shapes or
-finiteness. ``_exp_shifted`` is the one max-shifted exponential behind
-every softmax in the package: the objective's column softmax and
-contrastive rows, and the attention scores. ``_anchor_matrix`` is the one
-check of an anchor set handed to attention or the quantization error.
+flattened from. Each holds only its data, an immutable float64 copy that
+``_as_owned_f64`` checks for finiteness, rank and extents >= 1, so
+neither the numerical modules nor the loaders re-check them.
+``flatten``/``unflatten`` are the one definition of the token layout.
+``_exp_shifted`` is the one max-shifted exponential behind every softmax
+in the package: the objective's column softmax and contrastive rows, and
+the attention scores. ``_anchor_matrix`` is the one check of an anchor
+set handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -64,14 +65,16 @@ class ZeroExtentError(FormatError, DimensionError):
     """Header declares an axis of length zero."""
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Return a PCG64 generator for ``seed``.
+def seeded_rng(*words: int) -> np.random.Generator:
+    """Return a PCG64 generator seeded by one or more non-negative integers.
 
-    PCG64 produces a bit-identical stream for a given seed across runs
+    PCG64 produces a bit-identical stream for given seed words across runs
     and platforms, which all reproducibility contracts in this package
-    rely on.
+    rely on. One word gives the same stream as that integer alone.
     """
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    if not words or min(words) < 0:
+        raise ConfigError(f"seeds must be one or more integers >= 0, got {words}")
+    return np.random.Generator(np.random.PCG64([int(w) for w in words]))
 
 
 def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -81,10 +84,15 @@ def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return shift
 
 
-def _as_owned_f64(data, name: str) -> np.ndarray:
+def _as_owned_f64(data, name: str, ndim: int) -> np.ndarray:
+    """A frozen float64 copy of ``data``: finite, rank ``ndim``, every extent >= 1."""
     arr = np.array(data, dtype=np.float64, order="C")
     if not np.isfinite(arr).all():
         raise NumericalError(f"{name} contains non-finite entries")
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be rank {ndim}, got rank {arr.ndim}")
+    if min(arr.shape) < 1:
+        raise DimensionError(f"{name} extents must be >= 1, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -100,47 +108,19 @@ def _anchor_matrix(anchors, channels: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Original 4-axis shape a token matrix was flattened from."""
-
-    frames: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        for field in ("frames", "height", "width"):
-            if getattr(self, field) < 1:
-                raise DimensionError(f"provenance {field} must be >= 1")
-
-    @property
-    def num_tokens(self) -> int:
-        return self.frames * self.height * self.width
-
-
-@dataclass(frozen=True)
 class TokenMatrix:
-    """Immutable ``M x c`` matrix of token feature rows.
+    """Immutable ``M x c`` matrix of token feature rows; ``data`` is all it holds.
 
     Row ordering is frame-major, then row-major within each frame:
     token ``m`` for frame ``f``, grid row ``y``, grid column ``x`` sits at
-    ``m = f*(h*w) + y*w + x``.
+    ``m = f*(h*w) + y*w + x``. :func:`flatten` and :func:`unflatten` are
+    the one definition of this layout.
     """
 
     data: np.ndarray
-    provenance: Optional[Provenance] = None
 
     def __post_init__(self):
-        arr = _as_owned_f64(self.data, "token matrix")
-        if arr.ndim != 2:
-            raise DimensionError(f"token matrix must be 2-D, got {arr.ndim}-D")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError(f"token matrix extents must be >= 1, got {arr.shape}")
-        if self.provenance is not None and self.provenance.num_tokens != arr.shape[0]:
-            raise DimensionError(
-                f"provenance implies {self.provenance.num_tokens} tokens, "
-                f"matrix has {arr.shape[0]}"
-            )
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _as_owned_f64(self.data, "token matrix", 2))
 
     @property
     def num_tokens(self) -> int:
@@ -158,12 +138,7 @@ class LatentTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_owned_f64(self.data, "latent tensor")
-        if arr.ndim != 4:
-            raise DimensionError(f"latent tensor must be 4-D, got {arr.ndim}-D")
-        if min(arr.shape) < 1:
-            raise DimensionError(f"latent extents must be >= 1, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _as_owned_f64(self.data, "latent tensor", 4))
 
 
 def flatten(latent: LatentTensor) -> TokenMatrix:
@@ -172,9 +147,8 @@ def flatten(latent: LatentTensor) -> TokenMatrix:
     Output row ``f*(h*w) + y*w + x`` holds the channel vector at frame
     ``f``, grid position ``(y, x)``. Exact inverse of :func:`unflatten`.
     """
-    l, c, h, w = latent.data.shape
-    tokens = latent.data.transpose(0, 2, 3, 1).reshape(l * h * w, c)
-    return TokenMatrix(tokens, Provenance(l, h, w))
+    c = latent.data.shape[1]
+    return TokenMatrix(latent.data.transpose(0, 2, 3, 1).reshape(-1, c))
 
 
 def unflatten(tokens: TokenMatrix, frames: int, height: int, width: int) -> LatentTensor:
@@ -185,9 +159,7 @@ def unflatten(tokens: TokenMatrix, frames: int, height: int, width: int) -> Late
             f"shape ({frames}, {height}, {width}) implies {expected} tokens, "
             f"matrix has {tokens.num_tokens}"
         )
-    c = tokens.num_channels
-    cube = tokens.data.reshape(frames, height, width, c).transpose(0, 3, 1, 2)
-    return LatentTensor(cube)
+    return LatentTensor(tokens.data.reshape(frames, height, width, -1).transpose(0, 3, 1, 2))
 
 
 def _encode_array(arr: np.ndarray) -> bytes:
@@ -260,10 +232,7 @@ def save_tokens(path, tokens: TokenMatrix) -> None:
 
 
 def load_tokens(path) -> TokenMatrix:
-    arr = load_array(path)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a rank-2 tensor, file holds rank {arr.ndim}")
-    return TokenMatrix(arr)
+    return TokenMatrix(load_array(path))
 
 
 def save_latent(path, latent: LatentTensor) -> None:
@@ -271,7 +240,4 @@ def save_latent(path, latent: LatentTensor) -> None:
 
 
 def load_latent(path) -> LatentTensor:
-    arr = load_array(path)
-    if arr.ndim != 4:
-        raise DimensionError(f"expected a rank-4 tensor, file holds rank {arr.ndim}")
-    return LatentTensor(arr)
+    return LatentTensor(load_array(path))

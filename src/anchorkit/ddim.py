@@ -111,8 +111,7 @@ class TimeOnlyPredictor(NoisePredictor):
 
     def __call__(self, state, t, cond):
         tag = zlib.crc32(str(cond).encode("utf-8"))
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, int(t), tag])))
-        return rng.standard_normal(state.shape)
+        return seeded_rng(self.seed, t, tag).standard_normal(state.shape)
 
 
 class LinearPredictor(NoisePredictor):

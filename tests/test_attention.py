@@ -66,6 +66,11 @@ class TestAlign:
         back = unalign(aligned, h, w)
         np.testing.assert_array_equal(back.data, lat.data)
 
+    @pytest.mark.parametrize("shape", [(6, 2), (5, 2, 3)], ids=["rank-2", "wrong-positions"])
+    def test_unalign_rejects_wrong_shape(self, shape):
+        with pytest.raises(DimensionError):
+            unalign(np.zeros(shape), 2, 3)
+
 
 class TestFullAttention:
     def test_single_token_returns_value_row(self):

@@ -46,6 +46,16 @@ class TestGen:
         arr = load_array(out.with_suffix(".vlt"))
         assert arr.shape == (3, 8, 8, 8)  # frames, channels, height, width
 
+    @pytest.mark.parametrize("command,extra", [
+        ("train", ()), ("compress", ("--checkpoint", "net.ckpt")), ("attend", ()),
+    ], ids=["train", "compress", "attend"])
+    def test_drift_latent_rejected_by_token_commands(self, tmp_path, capsys, command, extra):
+        """A rank-4 latent is not a token matrix: exit 2 with the rank in the message."""
+        out = tmp_path / "vid"
+        assert run_cli("gen", "--drift", "--out", str(out), "--seed", "3") == 0
+        assert run_cli(command, "--input", str(out.with_suffix(".vlt")), *extra) == 2
+        assert "must be rank 2, got rank 4" in capsys.readouterr().err.splitlines()[-1]
+
     def test_requires_exactly_one_generator(self, tmp_path):
         assert run_cli("gen", "--out", str(tmp_path / "x")) == 2
         assert run_cli("gen", "--mixture", "--drift", "--out", str(tmp_path / "x")) == 2
@@ -129,6 +139,14 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert "finite" in err
+        assert "missing.vlt" not in err
+
+    @pytest.mark.parametrize("hidden", ["0", "8,-1"])
+    def test_bad_hidden_width_rejected_before_reading_input(self, tmp_path, capsys, hidden):
+        code = run_cli("train", "--input", str(tmp_path / "missing.vlt"), "--hidden", hidden)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "--hidden" in err
         assert "missing.vlt" not in err
 
     @pytest.mark.parametrize("steps,log_every", [(10, 3), (8, 4), (5, 50)])
@@ -455,10 +473,77 @@ class TestSeedEnvFallback:
         assert run_cli("ddim", "--steps", "2") == 0
         assert "config ddim.seed = 77" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env,text", [("-1", "must be >= 0"), ("abc", "invalid literal")])
+    def test_bad_env_seed_named(self, tmp_path, monkeypatch, capsys, env, text):
+        monkeypatch.setenv("ANCHOR_SEED", env)
+        assert run_cli("ddim", "--steps", "2", "--dump", str(tmp_path / "traj")) == 2
+        err = capsys.readouterr().err
+        assert "ANCHOR_SEED" in err.splitlines()[-1]
+        assert text in err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
+
     def test_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ANCHOR_SEED", "77")
         assert run_cli("ddim", "--steps", "2", "--seed", "5") == 0
         assert "config ddim.seed = 5" in capsys.readouterr().err
+
+
+class TestSettingSources:
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, tokens_file, capsys, command):
+        """Rejected before the config echo and before any file is written; the
+        same arguments with seed 0 run, so the seed is the one fault."""
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(ckpt, assignnet.init_network(6, 4, (8,), seed=0), 0)
+        tokens = str(tokens_file)
+        args = {
+            "gen": ["--mixture", "--out", str(tmp_path / "mix")],
+            "train": ["--input", tokens, "--steps", "1", "--anchors", "4", "--hidden", "8",
+                      "--checkpoint", str(tmp_path / "new.ckpt"),
+                      "--report", str(tmp_path / "r.csv")],
+            "compress": ["--input", tokens, "--checkpoint", str(ckpt),
+                         "--out-r", str(tmp_path / "r.vlt"), "--out-c", str(tmp_path / "c.vlt")],
+            "bench": ["--m-values", "64", "--anchors", "16", "--channels", "8",
+                      "--proj-dim", "8", "--repeats", "1", "--out", str(tmp_path / "b.csv")],
+            "ddim": ["--steps", "3", "--dump", str(tmp_path / "traj")],
+            "attend": ["--input", tokens, "--mode", "full", "--out", str(tmp_path / "a.vlt")],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(command, *args, "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err.splitlines()[-1]
+        assert "config " not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert run_cli(command, *args, "--seed", "0") == 0
+        assert sorted(tmp_path.rglob("*")) != before
+
+    @pytest.mark.parametrize("file_text,argv,named,text", [
+        (None, ("train", "--steps", "abc"), "--steps", "invalid literal"),
+        (None, ("train", "--hidden", "8,x"), "--hidden", "invalid literal"),
+        (None, ("ddim", "--seed", "abc"), "--seed", "invalid literal"),
+        ("steps = abc\n", ("train",), "run.cfg key steps", "invalid literal"),
+        ("mixture = maybe\n", ("gen",), "run.cfg key mixture", "not a boolean"),
+        ("seed = -4\n", ("ddim",), "run.cfg key seed", "must be >= 0"),
+    ], ids=["flag-int", "flag-list", "flag-seed", "file-int", "file-bool", "file-seed"])
+    def test_bad_value_names_its_source(self, tmp_path, capsys, file_text, argv, named, text):
+        extra = ()
+        if file_text is not None:
+            (tmp_path / "run.cfg").write_text(file_text, encoding="utf-8")
+            extra = ("--config", str(tmp_path / "run.cfg"))
+        assert run_cli(*argv, *extra) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert named in err
+        assert text in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (("gen", "--mixture"), "--out"),
+        (("compress", "--input", "tokens.vlt"), "--checkpoint"),
+        (("attend", "--mode", "full"), "--input"),
+        (("ddim", "--predictor", "bogus"), "bogus"),
+    ])
+    def test_missing_or_unknown_setting_exits_2(self, capsys, argv, named):
+        assert run_cli(*argv) == 2
+        assert named in capsys.readouterr().err.splitlines()[-1]
 
 
 def readme_commands():

@@ -6,14 +6,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anchorkit.assignnet import init_network, load_checkpoint, save_checkpoint
+from anchorkit.attention import align, unalign
 from anchorkit.core import (
     BadMagicError,
+    ConfigError,
     DimensionError,
     ExtentOverflowError,
     FormatError,
     LatentTensor,
     NumericalError,
-    Provenance,
     TokenMatrix,
     TruncatedPayloadError,
     _encode_array,
@@ -22,6 +23,7 @@ from anchorkit.core import (
     load_latent,
     load_tokens,
     save_array,
+    save_latent,
     save_tokens,
     seeded_rng,
     unflatten,
@@ -41,10 +43,6 @@ class TestContainers:
         tm = TokenMatrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
             tm.data[0, 0] = 9.0
-
-    def test_provenance_must_match_row_count(self):
-        with pytest.raises(DimensionError):
-            TokenMatrix(np.zeros((5, 2)), Provenance(2, 2, 2))
 
     def test_latent_tensor_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
@@ -90,11 +88,27 @@ class TestFlatten:
             c = int(rng.integers(1, 5))
             lat = LatentTensor(rng.standard_normal((l, c, h, w)))
             tokens = flatten(lat)
-            assert tokens.provenance == Provenance(l, h, w)
             back = unflatten(tokens, l, h, w)
             np.testing.assert_array_equal(back.data, lat.data)
             again = flatten(back)
             np.testing.assert_array_equal(again.data, tokens.data)
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(*[st.integers(1, 6)] * 4), seed=st.integers(0, 2**32 - 1))
+    def test_layout_round_trips_are_exact(self, tmp_path, shape, seed):
+        """flatten, align and the VLT1 latent file give ``x`` back exactly,
+        and align puts frame ``f`` of position ``p`` at ``[p, f]``."""
+        l, c, h, w = shape
+        x = LatentTensor(seeded_rng(seed).standard_normal(shape).astype(np.float32))
+        np.testing.assert_array_equal(unflatten(flatten(x), l, h, w).data, x.data)
+        path = tmp_path / "x.vlt"
+        save_latent(path, x)
+        np.testing.assert_array_equal(load_latent(path).data, x.data)
+        aligned = align(x)
+        np.testing.assert_array_equal(unalign(aligned, h, w).data, x.data)
+        expected = [[x.data[f, :, p // w, p % w] for f in range(l)] for p in range(h * w)]
+        np.testing.assert_array_equal(aligned, expected)
 
     def test_unflatten_shape_mismatch_names_counts(self):
         tokens = TokenMatrix(np.zeros((5, 2)))
@@ -178,6 +192,14 @@ class TestVlt1Format:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load_tokens(path)
+
+    @pytest.mark.parametrize("loader,shape,rank", [(load_tokens, (1, 2, 1, 3), 2),
+                                                   (load_latent, (2, 3), 4)])
+    def test_loader_rejects_wrong_rank(self, tmp_path, loader, shape, rank):
+        path = tmp_path / "m.vlt"
+        save_array(path, np.ones(shape))
+        with pytest.raises(DimensionError, match=f"must be rank {rank}, got rank {len(shape)}"):
+            loader(path)
 
     def test_rank4_round_trip(self, tmp_path):
         rng = seeded_rng(2)
@@ -269,6 +291,15 @@ class TestSeededRng:
         a = seeded_rng(1234).standard_normal(10_000)
         b = seeded_rng(1234).standard_normal(10_000)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("words", [(-1,), (3, -7, 2), ()])
+    def test_negative_or_missing_seed_is_a_config_error(self, words):
+        with pytest.raises(ConfigError, match="seeds must be"):
+            seeded_rng(*words)
+
+    def test_one_word_is_the_plain_pcg64_stream(self):
+        expected = np.random.Generator(np.random.PCG64(5)).standard_normal(16)
+        np.testing.assert_array_equal(seeded_rng(5).standard_normal(16), expected)
 
     def test_different_seeds_differ(self):
         a = seeded_rng(1).standard_normal(16)

@@ -1,5 +1,7 @@
 """Diffusion-step arithmetic: inverses, telescoping, guidance, trajectories."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,14 @@ class TestTrajectories:
 
 
 class TestPredictors:
+    def test_time_only_stream_equals_seed_sequence_construction(self):
+        """The predictor draws the stream of PCG64 over
+        SeedSequence([seed, t, crc32(cond)]), written out here as the reference."""
+        tag = zlib.crc32("cond".encode("utf-8"))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 7, tag])))
+        np.testing.assert_array_equal(TimeOnlyPredictor(3)(np.zeros(8), 7, "cond"),
+                                      rng.standard_normal(8))
+
     def test_time_only_depends_on_time_and_cond_only(self):
         pred = TimeOnlyPredictor(seed=18)
         a = pred(np.zeros(6), 3, "cond")
