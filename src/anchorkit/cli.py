@@ -2,8 +2,10 @@
 
 Subcommands: gen | train | compress | bench | ddim | attend. Every
 tunable can come from three places, in override order: command-line flag,
-config file (UTF-8 lines of ``key = value``), built-in default. The fully
-resolved configuration is echoed to stderr so any run can be replayed
+config file (UTF-8 lines of ``key = value``), built-in default. Each
+option's parser in ``OPTIONS`` holds its legal values, so a bad or missing
+value exits 2 naming its flag, file key or ANCHOR_SEED, before any work.
+The resolved configuration is echoed to stderr so any run can be replayed
 from its log. Exit codes: 0 success, 2 usage or configuration error,
 3 numerical failure during training.
 
@@ -57,19 +59,39 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [s for s in text.split(",") if s.strip()]
-    return tuple(int(s) for s in items)
+def _at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _one_of(choices) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"unknown choice {text!r}, expected one of {' | '.join(choices)}")
+        return text
+    return parse
 
 
-def _parse_seed(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError(f"seed must be >= 0, got {text}")
-    return int(text)
+def _list_of(item: Callable) -> Callable[[str], tuple]:
+    return lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip())
+
+
+# attention kernels by mode, called as (tokens, anchors, projection); looked up at call time
+_KERNELS = {
+    "full": lambda tokens, anchors, proj: attention.full_attention(tokens, proj),
+    "anchor": lambda tokens, anchors, proj: attention.anchor_attention(tokens, anchors, proj),
+}
+
+# noise predictors by name, built as (dim, seed)
+_PREDICTORS = {
+    "zero": lambda dim, seed: ddim.ZeroPredictor(),
+    "tonly": lambda dim, seed: ddim.TimeOnlyPredictor(seed=seed),
+    "linear": lambda dim, seed: ddim.LinearPredictor(dim, seed=seed),
+}
 
 
 @dataclass(frozen=True)
@@ -79,76 +101,87 @@ class Opt:
     default: object
     help: str
     is_flag: bool = False
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
-_COMMON_SEED = Opt("seed", _parse_seed, 0, "global RNG seed (env ANCHOR_SEED, then 0)")
+_POSITIVE = _at_least(1)
+_COMMON_SEED = Opt("seed", _at_least(0), 0, "global RNG seed (env ANCHOR_SEED, then 0)")
 
 OPTIONS: dict[str, list[Opt]] = {
     "gen": [
         Opt("mixture", _parse_bool, False, "generate a Gaussian token mixture", True),
         Opt("drift", _parse_bool, False, "generate a drifting-blob latent video", True),
-        Opt("clusters", int, 8, "mixture: number of clusters"),
-        Opt("dim", int, 16, "mixture: token channel count"),
-        Opt("points", int, 128, "mixture: points per cluster"),
-        Opt("center_scale", float, 1.0, "mixture: uniform center range"),
+        Opt("clusters", _POSITIVE, 8, "mixture: number of clusters"),
+        Opt("dim", _POSITIVE, 16, "mixture: token channel count"),
+        Opt("points", _POSITIVE, 128, "mixture: points per cluster"),
+        Opt("center_scale", float, synth.MixtureSpec.center_scale,
+            "mixture: uniform center range"),
+        # stays 0.05 against MixtureSpec's 0.1: the CLI's artifacts and perfbench's
+        # cli-pipeline follow this value, and its train-* workloads follow MixtureSpec's
         Opt("noise_sigma", float, 0.05, "mixture: point noise sigma"),
-        Opt("frames", int, 4, "drift: frame count"),
-        Opt("channels", int, 8, "drift: channel count"),
-        Opt("height", int, 16, "drift: grid height"),
-        Opt("width", int, 16, "drift: grid width"),
-        Opt("objects", int, 3, "drift: object count"),
-        Opt("drift_per_frame", float, 1.0, "drift: pixels moved per frame"),
-        Opt("out", str, None, "output path prefix"),
+        Opt("frames", _POSITIVE, 4, "drift: frame count"),
+        Opt("channels", _POSITIVE, 8, "drift: channel count"),
+        Opt("height", _POSITIVE, 16, "drift: grid height"),
+        Opt("width", _POSITIVE, 16, "drift: grid width"),
+        Opt("objects", _at_least(0), 3, "drift: object count"),
+        Opt("drift_per_frame", float, synth.DriftVideoSpec.drift_per_frame,
+            "drift: pixels moved per frame"),
+        Opt("out", str, None, "output path prefix", required=True),
         _COMMON_SEED,
     ],
     "train": [
-        Opt("input", str, None, "token matrix (.vlt) to train on"),
-        Opt("steps", int, 500, "optimization steps"),
-        Opt("log_every", int, compressor.TrainConfig.log_every, "record every N steps"),
-        Opt("anchors", int, AnchorConfig.n_anchors, "anchor count"),
-        Opt("top_k", int, AnchorConfig.top_k, "contrastive positives per anchor"),
+        Opt("input", str, None, "token matrix (.vlt) to train on", required=True),
+        Opt("steps", _POSITIVE, 500, "optimization steps"),
+        Opt("log_every", _POSITIVE, compressor.TrainConfig.log_every, "record every N steps"),
+        Opt("anchors", _POSITIVE, AnchorConfig.n_anchors, "anchor count"),
+        Opt("top_k", _POSITIVE, AnchorConfig.top_k, "contrastive positives per anchor"),
         Opt("temperature", float, AnchorConfig.temperature, "contrastive temperature"),
         Opt("lambda_vi", float, AnchorConfig.kl_weight, "regularizer weight (0 turns it off)"),
-        Opt("prior", str, AnchorConfig.prior_mode, f"one of {'|'.join(PRIOR_MODES)}"),
+        Opt("prior", _one_of(PRIOR_MODES), AnchorConfig.prior_mode,
+            f"one of {'|'.join(PRIOR_MODES)}"),
         Opt("lr", float, assignnet.AdamParams.learning_rate, "Adam learning rate"),
-        Opt("hidden", _parse_int_list, compressor.TrainConfig.hidden_dims,
+        Opt("hidden", _list_of(_POSITIVE), compressor.TrainConfig.hidden_dims,
             "hidden widths, comma separated"),
-        Opt("subsample", int, None, "tokens sampled per step (default full batch)"),
+        Opt("subsample", _POSITIVE, None, "tokens sampled per step (default full batch)"),
         Opt("resume", str, None, "checkpoint to continue from"),
         Opt("checkpoint", str, None, "checkpoint output path"),
         Opt("report", str, None, "training report CSV output path"),
         _COMMON_SEED,
     ],
     "compress": [
-        Opt("input", str, None, "token matrix (.vlt) to compress"),
-        Opt("checkpoint", str, None, "trained network checkpoint"),
+        Opt("input", str, None, "token matrix (.vlt) to compress", required=True),
+        Opt("checkpoint", str, None, "trained network checkpoint", required=True),
         Opt("out_r", str, None, "assignment matrix output (.vlt)"),
         Opt("out_c", str, None, "anchor matrix output (.vlt)"),
         _COMMON_SEED,
     ],
     "bench": [
-        Opt("m_values", _parse_int_list, (1024, 2048, 4096, 8192), "token counts to sweep"),
-        Opt("anchors", int, 512, "anchor count for anchor mode"),
-        Opt("channels", int, 64, "token channel count"),
-        Opt("proj_dim", int, 64, "projected dimension"),
-        Opt("modes", _parse_str_list, ("full", "anchor"), "kernels to time"),
-        Opt("repeats", int, 3, "timings per point; best is kept"),
+        Opt("m_values", _list_of(_POSITIVE), (1024, 2048, 4096, 8192), "token counts to sweep"),
+        Opt("anchors", _POSITIVE, 512, "anchor count for anchor mode"),
+        Opt("channels", _POSITIVE, 64, "token channel count"),
+        Opt("proj_dim", _POSITIVE, 64, "projected dimension"),
+        Opt("modes", _list_of(_one_of(_KERNELS)), ("full", "anchor"), "kernels to time"),
+        Opt("repeats", _POSITIVE, 3, "timings per point; best is kept"),
         Opt("out", str, None, "benchmark CSV output path"),
         _COMMON_SEED,
     ],
     "ddim": [
-        Opt("steps", int, 50, "schedule length T"),
-        Opt("predictor", str, "zero", "zero | tonly | linear"),
-        Opt("dim", int, 64, "latent vector length"),
+        Opt("steps", _POSITIVE, 50, "schedule length T"),
+        Opt("predictor", _one_of(_PREDICTORS), "zero", " | ".join(_PREDICTORS)),
+        Opt("dim", _POSITIVE, 64, "latent vector length"),
         Opt("guidance", float, None, "wrap the predictor with this guidance scale"),
         Opt("dump", str, None, "directory for trajectory tensors"),
         _COMMON_SEED,
     ],
     "attend": [
-        Opt("input", str, None, "token matrix (.vlt)"),
-        Opt("mode", str, "full", "full | anchor"),
+        Opt("input", str, None, "token matrix (.vlt)", required=True),
+        Opt("mode", _one_of(_KERNELS), "full", " | ".join(_KERNELS)),
         Opt("anchors_file", str, None, "anchor matrix (.vlt), required for anchor mode"),
-        Opt("proj_dim", int, 64, "projected dimension"),
+        Opt("proj_dim", _POSITIVE, 64, "projected dimension"),
         Opt("out", str, None, "attention output (.vlt)"),
         _COMMON_SEED,
     ],
@@ -163,12 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key = value config file")
         for opt in opts:
-            flag = "--" + opt.name.replace("_", "-")
             if opt.is_flag:
-                p.add_argument(flag, dest=opt.name, action="store_const", const=True,
+                p.add_argument(opt.flag, dest=opt.name, action="store_const", const=True,
                                default=None, help=opt.help)
             else:
-                p.add_argument(flag, dest=opt.name, type=str, default=None, help=opt.help)
+                p.add_argument(opt.flag, dest=opt.name, type=str, default=None, help=opt.help)
     return parser
 
 
@@ -197,7 +229,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     resolved = {}
     for name, opt in opts.items():
         flag_value = getattr(args, name)
-        source = "--" + name.replace("_", "-")
+        source = opt.flag
         try:
             if flag_value is not None:
                 value = flag_value if opt.is_flag else opt.conv(flag_value)
@@ -212,6 +244,9 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{source}: {exc}") from None
         resolved[name] = value
+    for opt in opts.values():
+        if opt.required and not resolved[opt.name]:
+            raise ConfigError(f"{opt.flag} is required")
     return resolved
 
 
@@ -223,8 +258,6 @@ def _echo_config(command: str, resolved: dict) -> None:
 def cmd_gen(cfg: dict) -> int:
     if cfg["mixture"] == cfg["drift"]:
         raise ConfigError("pass exactly one of --mixture / --drift")
-    if not cfg["out"]:
-        raise ConfigError("--out prefix is required")
     prefix = Path(cfg["out"])
     if cfg["mixture"]:
         spec = synth.MixtureSpec(
@@ -274,16 +307,13 @@ def _train_config(cfg: dict) -> compressor.TrainConfig:
         seed=cfg["seed"],
         objective=objective,
         adam=adam,
-        hidden_dims=tuple(cfg["hidden"]),
+        hidden_dims=cfg["hidden"],
         subsample=cfg["subsample"],
     )
 
 
 def cmd_train(cfg: dict) -> int:
-    _require_positive(cfg, "hidden")  # reject bad settings before reading any input
-    train_cfg = _train_config(cfg)
-    if not cfg["input"]:
-        raise ConfigError("--input is required")
+    train_cfg = _train_config(cfg)  # reject bad settings before reading any input
     tokens = load_tokens(cfg["input"])
     net = None
     base_steps = 0
@@ -304,8 +334,6 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_compress(cfg: dict) -> int:
-    if not cfg["input"] or not cfg["checkpoint"]:
-        raise ConfigError("--input and --checkpoint are required")
     tokens = load_tokens(cfg["input"])
     net, _ = assignnet.load_checkpoint(cfg["checkpoint"])
     result = compressor.compress(tokens, net)
@@ -327,27 +355,6 @@ def cmd_compress(cfg: dict) -> int:
     return EXIT_OK
 
 
-# attention kernels by mode, called as (tokens, anchors, projection); looked up at call time
-_KERNELS = {
-    "full": lambda tokens, anchors, proj: attention.full_attention(tokens, proj),
-    "anchor": lambda tokens, anchors, proj: attention.anchor_attention(tokens, anchors, proj),
-}
-
-
-def _check_modes(modes, flag: str) -> None:
-    for mode in modes:
-        if mode not in _KERNELS:
-            raise ConfigError(f"unknown {flag} mode {mode!r}")
-
-
-def _require_positive(cfg: dict, *names: str) -> None:
-    """Reject an integer setting, or an entry of a list setting, below 1, naming its flag."""
-    for name in names:
-        values = cfg[name] if isinstance(cfg[name], tuple) else (cfg[name],)
-        if min(values, default=1) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {cfg[name]}")
-
-
 def _time_best(fn: Callable[[], object], repeats: int) -> int:
     best = None
     for _ in range(repeats):
@@ -359,8 +366,6 @@ def _time_best(fn: Callable[[], object], repeats: int) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    _require_positive(cfg, "repeats", "channels", "proj_dim", "anchors", "m_values")
-    _check_modes(cfg["modes"], "--modes")
     rng = seeded_rng(cfg["seed"])
     c, d, a = cfg["channels"], cfg["proj_dim"], cfg["anchors"]
     proj = attention.init_projection(c, d, seed=cfg["seed"])
@@ -389,25 +394,11 @@ def cmd_bench(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _build_predictor(cfg: dict) -> ddim.NoisePredictor:
-    kind = cfg["predictor"]
-    if kind == "zero":
-        pred = ddim.ZeroPredictor()
-    elif kind == "tonly":
-        pred = ddim.TimeOnlyPredictor(seed=cfg["seed"])
-    elif kind == "linear":
-        pred = ddim.LinearPredictor(cfg["dim"], seed=cfg["seed"])
-    else:
-        raise ConfigError(f"unknown predictor {kind!r}")
+def cmd_ddim(cfg: dict) -> int:
+    sched = ddim.linear_beta_schedule(cfg["steps"])
+    pred = _PREDICTORS[cfg["predictor"]](cfg["dim"], cfg["seed"])
     if cfg["guidance"] is not None:
         pred = ddim.GuidedPredictor(pred, cfg["guidance"])
-    return pred
-
-
-def cmd_ddim(cfg: dict) -> int:
-    _require_positive(cfg, "dim", "steps")
-    sched = ddim.linear_beta_schedule(cfg["steps"])
-    pred = _build_predictor(cfg)
     rng = seeded_rng(cfg["seed"])
     start = rng.standard_normal(cfg["dim"])
     upward = ddim.run_trajectory(start, sched, pred, "invert")
@@ -420,12 +411,8 @@ def cmd_ddim(cfg: dict) -> int:
 
 
 def cmd_attend(cfg: dict) -> int:
-    if not cfg["input"]:
-        raise ConfigError("--input is required")
-    _check_modes([cfg["mode"]], "--mode")
     if cfg["mode"] == "anchor" and not cfg["anchors_file"]:
         raise ConfigError("anchor mode needs --anchors-file")
-    _require_positive(cfg, "proj_dim")
     tokens = load_tokens(cfg["input"])
     anchors = load_array(cfg["anchors_file"]) if cfg["mode"] == "anchor" else None
     proj = attention.init_projection(tokens.num_channels, cfg["proj_dim"], seed=cfg["seed"])

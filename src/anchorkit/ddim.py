@@ -118,6 +118,8 @@ class LinearPredictor(NoisePredictor):
     """Fixed linear map of the flattened state; state-dependent on purpose."""
 
     def __init__(self, dim: int, seed: int = 0):
+        if dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {dim}")
         rng = seeded_rng(seed)
         self.matrix = LINEAR_GAIN * rng.standard_normal((dim, dim)) / np.sqrt(dim)
 

@@ -14,6 +14,7 @@ from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.core import load_array, load_tokens
 from anchorkit.attention import flop_count
+from anchorkit.objective import PRIOR_MODES
 
 
 def run_cli(*args):
@@ -348,6 +349,7 @@ class TestDdim:
         ("--steps", "0", "--steps"),
         ("--guidance", "nan", "guidance scale must be finite"),
         ("--guidance", "inf", "guidance scale must be finite"),
+        ("--predictor", "bogus", "--predictor"),
     ])
     def test_bad_setting_rejected_before_work(self, tmp_path, capsys, flag, value, named):
         dump = tmp_path / "traj"
@@ -488,26 +490,48 @@ class TestSeedEnvFallback:
         assert "config ddim.seed = 5" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def valid_args(tmp_path, tokens_file):
+    """Arguments of one small run per subcommand that writes files under tmp_path."""
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, assignnet.init_network(6, 4, (8,), seed=0), 0)
+    tokens = str(tokens_file)
+    return {
+        "gen": ["--mixture", "--out", str(tmp_path / "mix")],
+        "train": ["--input", tokens, "--steps", "1", "--anchors", "4", "--hidden", "8",
+                  "--checkpoint", str(tmp_path / "new.ckpt"),
+                  "--report", str(tmp_path / "r.csv")],
+        "compress": ["--input", tokens, "--checkpoint", str(ckpt),
+                     "--out-r", str(tmp_path / "r.vlt"), "--out-c", str(tmp_path / "c.vlt")],
+        "bench": ["--m-values", "64", "--anchors", "16", "--channels", "8",
+                  "--proj-dim", "8", "--repeats", "1", "--out", str(tmp_path / "b.csv")],
+        "ddim": ["--steps", "3", "--dump", str(tmp_path / "traj")],
+        "attend": ["--input", tokens, "--mode", "full", "--out", str(tmp_path / "a.vlt")],
+    }
+
+
+# the least legal value of every integer option; a list option's entries share it
+INTEGER_FLOORS = {
+    "gen": {"clusters": 1, "dim": 1, "points": 1, "frames": 1, "channels": 1, "height": 1,
+            "width": 1, "objects": 0, "seed": 0},
+    "train": {"steps": 1, "log_every": 1, "anchors": 1, "top_k": 1, "hidden": 1,
+              "subsample": 1, "seed": 0},
+    "compress": {"seed": 0},
+    "bench": {"m_values": 1, "anchors": 1, "channels": 1, "proj_dim": 1, "repeats": 1,
+              "seed": 0},
+    "ddim": {"steps": 1, "dim": 1, "seed": 0},
+    "attend": {"proj_dim": 1, "seed": 0},
+}
+FLOOR_CASES = [(command, name, low) for command, floors in INTEGER_FLOORS.items()
+               for name, low in floors.items()]
+
+
 class TestSettingSources:
     @pytest.mark.parametrize("command", list(OPTIONS))
-    def test_negative_seed_rejected_before_any_work(self, tmp_path, tokens_file, capsys, command):
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, valid_args, capsys, command):
         """Rejected before the config echo and before any file is written; the
         same arguments with seed 0 run, so the seed is the one fault."""
-        ckpt = tmp_path / "net.ckpt"
-        save_checkpoint(ckpt, assignnet.init_network(6, 4, (8,), seed=0), 0)
-        tokens = str(tokens_file)
-        args = {
-            "gen": ["--mixture", "--out", str(tmp_path / "mix")],
-            "train": ["--input", tokens, "--steps", "1", "--anchors", "4", "--hidden", "8",
-                      "--checkpoint", str(tmp_path / "new.ckpt"),
-                      "--report", str(tmp_path / "r.csv")],
-            "compress": ["--input", tokens, "--checkpoint", str(ckpt),
-                         "--out-r", str(tmp_path / "r.vlt"), "--out-c", str(tmp_path / "c.vlt")],
-            "bench": ["--m-values", "64", "--anchors", "16", "--channels", "8",
-                      "--proj-dim", "8", "--repeats", "1", "--out", str(tmp_path / "b.csv")],
-            "ddim": ["--steps", "3", "--dump", str(tmp_path / "traj")],
-            "attend": ["--input", tokens, "--mode", "full", "--out", str(tmp_path / "a.vlt")],
-        }[command]
+        args = valid_args[command]
         before = sorted(tmp_path.rglob("*"))
         assert run_cli(command, *args, "--seed", "-1") == 2
         err = capsys.readouterr().err
@@ -517,6 +541,58 @@ class TestSettingSources:
         assert run_cli(command, *args, "--seed", "0") == 0
         assert sorted(tmp_path.rglob("*")) != before
 
+    def test_floor_table_covers_every_integer_option(self):
+        for command, opts in OPTIONS.items():
+            integer = {}
+            for opt in opts:
+                try:
+                    value = opt.conv("1")
+                except ValueError:
+                    continue
+                if type(value) is int or (type(value) is tuple and value):
+                    integer[opt.name] = opt
+            assert set(integer) == set(INTEGER_FLOORS[command]), command
+            for name, low in INTEGER_FLOORS[command].items():
+                assert integer[name].conv(str(low)) in (low, (low,))
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command,name,low", FLOOR_CASES,
+                             ids=[f"{command}-{name}" for command, name, _ in FLOOR_CASES])
+    def test_value_below_floor_rejected_before_any_work(
+        self, tmp_path, valid_args, capsys, command, name, low, source
+    ):
+        """Named by its flag or by its config file and key, before the config
+        echo and before any file is written."""
+        args = valid_args[command]
+        flag = "--" + name.replace("_", "-")
+        if source == "flag":
+            extra, named = (flag, str(low - 1)), flag
+        else:
+            if flag in args:  # a flag would override the file
+                del args[args.index(flag):args.index(flag) + 2]
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = {low - 1}\n", encoding="utf-8")
+            extra, named = ("--config", str(cfg)), f"{cfg} key {name}"
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(command, *args, *extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: {named}: must be >= {low}, got {low - 1}"
+        assert not any(line.startswith("config ") for line in err)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv,flag,choices", [
+        (("train", "--prior", "bogus"), "--prior", PRIOR_MODES),
+        (("attend", "--input", "t.vlt", "--mode", "bogus"), "--mode", ("full", "anchor")),
+        (("bench", "--modes", "full,bogus"), "--modes", ("full", "anchor")),
+        (("ddim", "--predictor", "bogus"), "--predictor", ("zero", "tonly", "linear")),
+    ], ids=["prior", "mode", "modes", "predictor"])
+    def test_unknown_choice_names_its_flag_and_the_choices(self, capsys, argv, flag, choices):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"error: {flag}: unknown choice 'bogus'")
+        assert err[-1].endswith(" | ".join(choices))
+        assert not any(line.startswith("config ") for line in err)
+
     @pytest.mark.parametrize("file_text,argv,named,text", [
         (None, ("train", "--steps", "abc"), "--steps", "invalid literal"),
         (None, ("train", "--hidden", "8,x"), "--hidden", "invalid literal"),
@@ -524,7 +600,11 @@ class TestSettingSources:
         ("steps = abc\n", ("train",), "run.cfg key steps", "invalid literal"),
         ("mixture = maybe\n", ("gen",), "run.cfg key mixture", "not a boolean"),
         ("seed = -4\n", ("ddim",), "run.cfg key seed", "must be >= 0"),
-    ], ids=["flag-int", "flag-list", "flag-seed", "file-int", "file-bool", "file-seed"])
+        ("steps = 0\n", ("ddim",), "run.cfg key steps", "must be >= 1, got 0"),
+        (None, ("gen", "--drift", "--height", "0"), "--height", "must be >= 1, got 0"),
+        (None, ("train", "--anchors", "0"), "--anchors", "must be >= 1, got 0"),
+    ], ids=["flag-int", "flag-list", "flag-seed", "file-int", "file-bool", "file-seed",
+            "file-floor", "flag-extent", "flag-count"])
     def test_bad_value_names_its_source(self, tmp_path, capsys, file_text, argv, named, text):
         extra = ()
         if file_text is not None:

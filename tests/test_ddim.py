@@ -222,3 +222,8 @@ class TestPredictors:
         pred = LinearPredictor(4, seed=19)
         with pytest.raises(DimensionError):
             pred(np.zeros(5), 1, "cond")
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_linear_predictor_rejects_dimension_below_one(self, dim):
+        with pytest.raises(ConfigError, match=f"dim must be >= 1, got {dim}"):
+            LinearPredictor(dim)
