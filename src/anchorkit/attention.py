@@ -13,9 +13,17 @@ attention through ``core.flatten``/``unflatten``.
 The core walks the queries in row tiles whose scores fit in one reused
 buffer of about ``_TILE_BYTES``, so a call holds one score tile plus
 O(M*d) memory for its projections and output, never the M x N score
-matrix. Each tile is normalised after the value product, which divides
-M*d entries instead of M*N, and its output overwrites its query rows. The
-score exponentials come from ``core._exp_shifted``.
+matrix. The projections are written into buffers one column wider than
+d, and that column folds the softmax into the two matrix products: the
+queries carry the Cauchy-Schwarz bound |q_i| max_j |k_j| on their row's
+scores and the keys -1, so the score product yields each score minus a
+bound it cannot exceed; the values carry 1, so the value product also
+yields each row's weight sum. A tile thus costs two products and one
+``np.exp``, with no max, subtract or sum pass. A row whose sum underflows,
+because its bound sat hundreds of units above its largest score, is
+recomputed with the exact row-max shift of ``core._exp_shifted``. Each
+tile is normalised after the value product, which divides M*d entries
+instead of M*N, and its output overwrites its query rows.
 """
 
 from __future__ import annotations
@@ -30,8 +38,12 @@ from .core import _anchor_matrix, _exp_shifted, flatten, seeded_rng, unflatten
 
 # bytes of the one score buffer a call reuses for every row tile: big
 # enough for efficient matrix products (128 rows at 8192 keys), small
-# enough that the max, exp and sum passes stay in cache, not main memory
+# enough that the exp pass stays in cache, not main memory
 _TILE_BYTES = 8 * 2**20
+
+# a row's weight sum below this (or NaN) sends it to the exact path; it is
+# a normal float64, so a sum above it kept its row's mass
+_TINY_SUM = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -96,21 +108,40 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V, one row tile at a time.
 
-    Works in the buffer of ``queries``, so callers pass a fresh projection:
-    it is scaled in place, and each tile's output rows overwrite the query
-    rows they were computed from. Values must have the queries' width.
+    Takes (rows, d+1) buffers whose first d columns hold the projections
+    and whose last column is free; it fills that column so one product
+    gives each score minus a bound on its row, and the other gives each
+    row's weight sum next to its mixed values. Works in the buffer of
+    ``queries``, so callers pass a fresh projection: its output rows
+    overwrite the query rows they were computed from, and the result is a
+    (rows, d) view of it. Values must have the queries' width.
     """
     m, n = queries.shape[0], keys.shape[0]
-    queries /= np.sqrt(queries.shape[1])
+    d = queries.shape[1] - 1
+    queries[:, :d] /= np.sqrt(d)
+    # Cauchy-Schwarz: |q_i| max_j |k_j| bounds every score in row i, so
+    # q.k - shift never overflows exp
+    key_bound = np.linalg.norm(keys[:, :d], axis=1).max()
+    np.multiply(np.linalg.norm(queries[:, :d], axis=1), key_bound, out=queries[:, d])
+    keys[:, d] = -1.0
+    values[:, d] = 1.0
     rows = max(1, _TILE_BYTES // (8 * n))
     scores = np.empty((min(rows, m), n))
+    mixed = np.empty((min(rows, m), d + 1))
     for start in range(0, m, rows):
-        tile = slice(start, start + rows)
-        weights = scores[: min(rows, m - start)]
-        _exp_shifted(np.matmul(queries[tile], keys.T, out=weights), 1, weights)
-        np.matmul(weights, values, out=queries[tile])
-        queries[tile] /= weights.sum(axis=1, keepdims=True)
-    return queries
+        tile = queries[start : start + rows]
+        weights, sums = scores[: len(tile)], mixed[: len(tile)]
+        np.exp(np.matmul(tile, keys.T, out=weights), out=weights)
+        np.matmul(weights, values, out=sums)
+        # rows whose bound sat so far above their largest score that the
+        # weights underflowed: redo them with the exact row-max shift
+        low = np.flatnonzero(~(sums[:, d] >= _TINY_SUM))
+        if low.size:
+            exact = scores[: low.size]
+            _exp_shifted(np.matmul(tile[low, :d], keys[:, :d].T, out=exact), 1, exact)
+            sums[low] = exact @ values
+        np.divide(sums[:, :d], sums[:, d:], out=tile[:, :d])
+    return queries[:, :d]
 
 
 def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) -> TokenMatrix:
@@ -119,8 +150,13 @@ def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) 
         raise DimensionError(
             f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
         )
-    out = _attend(tokens.data @ proj.w_query, kv @ proj.w_key, kv @ proj.w_value)
-    return TokenMatrix(out)
+    d = proj.proj_dim
+    widened = []
+    for x, w in ((tokens.data, proj.w_query), (kv, proj.w_key), (kv, proj.w_value)):
+        buf = np.empty((x.shape[0], d + 1))
+        np.matmul(x, w, out=buf[:, :d])
+        widened.append(buf)
+    return TokenMatrix(_attend(*widened))
 
 
 def full_attention(tokens: TokenMatrix, proj: AttentionProjection) -> TokenMatrix:
@@ -151,21 +187,25 @@ def flop_count(
 
     Closed forms (M tokens, A anchors, c channels, d projected dims):
 
-    * ``full``:   3*M*c*d projections + M*M*d scores + M*M*d mixing
-    * ``anchor``: M*c*d + 2*A*c*d projections + M*A*d scores + M*A*d mixing
+    * ``full``:   3*M*c*d projections + M*M*(d+1) scores + M*M*(d+1) mixing
+    * ``anchor``: M*c*d + 2*A*c*d projections + M*A*(d+1) scores
+      + M*A*(d+1) mixing
     * ``fphi``:   M * sum of consecutive width products through the
       assignment MLP (c -> hidden ... -> A), the linear-in-M side cost of
       producing assignments.
 
-    Softmax exponentials are not multiply-accumulates and are excluded.
+    The score and mixing products are d+1 wide: the extra column carries
+    each row's softmax shift into the scores and its weight sum out of the
+    mixing. Softmax exponentials are not multiply-accumulates and are
+    excluded, as are the rows that underflow and are recomputed exactly.
     """
     m, a, c, d = int(n_tokens), int(n_anchors), int(channels), int(proj_dim)
     if min(m, a, c, d) < 1:
         raise ConfigError("all extents must be >= 1")
     if mode == "full":
-        return 3 * m * c * d + 2 * m * m * d
+        return 3 * m * c * d + 2 * m * m * (d + 1)
     if mode == "anchor":
-        return m * c * d + 2 * a * c * d + 2 * m * a * d
+        return m * c * d + 2 * a * c * d + 2 * m * a * (d + 1)
     if mode == "fphi":
         widths = [c, *[int(hd) for hd in hidden_dims], a]
         return m * sum(w0 * w1 for w0, w1 in zip(widths[:-1], widths[1:]))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 import time
@@ -68,6 +69,19 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _finite(*, above: float = -math.inf, at_least: float = -math.inf) -> Callable[[str], float]:
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if not value > above:
+            raise ValueError(f"must be > {above:g}, got {value}")
+        if value < at_least:
+            raise ValueError(f"must be >= {at_least:g}, got {value}")
+        return value
+    return parse
+
+
 def _one_of(choices) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in choices:
@@ -77,7 +91,12 @@ def _one_of(choices) -> Callable[[str], str]:
 
 
 def _list_of(item: Callable) -> Callable[[str], tuple]:
-    return lambda text: tuple(item(s.strip()) for s in text.split(",") if s.strip())
+    def parse(text: str) -> tuple:
+        values = tuple(item(s.strip()) for s in text.split(",") if s.strip())
+        if not values:
+            raise ValueError(f"must list at least one value, got {text!r}")
+        return values
+    return parse
 
 
 # attention kernels by mode, called as (tokens, anchors, projection); looked up at call time
@@ -109,6 +128,7 @@ class Opt:
 
 
 _POSITIVE = _at_least(1)
+_NON_NEGATIVE = _finite(at_least=0)
 _COMMON_SEED = Opt("seed", _at_least(0), 0, "global RNG seed (env ANCHOR_SEED, then 0)")
 
 OPTIONS: dict[str, list[Opt]] = {
@@ -118,17 +138,17 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("clusters", _POSITIVE, 8, "mixture: number of clusters"),
         Opt("dim", _POSITIVE, 16, "mixture: token channel count"),
         Opt("points", _POSITIVE, 128, "mixture: points per cluster"),
-        Opt("center_scale", float, synth.MixtureSpec.center_scale,
+        Opt("center_scale", _NON_NEGATIVE, synth.MixtureSpec.center_scale,
             "mixture: uniform center range"),
         # stays 0.05 against MixtureSpec's 0.1: the CLI's artifacts and perfbench's
         # cli-pipeline follow this value, and its train-* workloads follow MixtureSpec's
-        Opt("noise_sigma", float, 0.05, "mixture: point noise sigma"),
+        Opt("noise_sigma", _NON_NEGATIVE, 0.05, "mixture: point noise sigma"),
         Opt("frames", _POSITIVE, 4, "drift: frame count"),
         Opt("channels", _POSITIVE, 8, "drift: channel count"),
         Opt("height", _POSITIVE, 16, "drift: grid height"),
         Opt("width", _POSITIVE, 16, "drift: grid width"),
         Opt("objects", _at_least(0), 3, "drift: object count"),
-        Opt("drift_per_frame", float, synth.DriftVideoSpec.drift_per_frame,
+        Opt("drift_per_frame", _finite(), synth.DriftVideoSpec.drift_per_frame,
             "drift: pixels moved per frame"),
         Opt("out", str, None, "output path prefix", required=True),
         _COMMON_SEED,
@@ -139,11 +159,12 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("log_every", _POSITIVE, compressor.TrainConfig.log_every, "record every N steps"),
         Opt("anchors", _POSITIVE, AnchorConfig.n_anchors, "anchor count"),
         Opt("top_k", _POSITIVE, AnchorConfig.top_k, "contrastive positives per anchor"),
-        Opt("temperature", float, AnchorConfig.temperature, "contrastive temperature"),
-        Opt("lambda_vi", float, AnchorConfig.kl_weight, "regularizer weight (0 turns it off)"),
+        Opt("temperature", _finite(above=0), AnchorConfig.temperature, "contrastive temperature"),
+        Opt("lambda_vi", _NON_NEGATIVE, AnchorConfig.kl_weight,
+            "regularizer weight (0 turns it off)"),
         Opt("prior", _one_of(PRIOR_MODES), AnchorConfig.prior_mode,
             f"one of {'|'.join(PRIOR_MODES)}"),
-        Opt("lr", float, assignnet.AdamParams.learning_rate, "Adam learning rate"),
+        Opt("lr", _finite(above=0), assignnet.AdamParams.learning_rate, "Adam learning rate"),
         Opt("hidden", _list_of(_POSITIVE), compressor.TrainConfig.hidden_dims,
             "hidden widths, comma separated"),
         Opt("subsample", _POSITIVE, None, "tokens sampled per step (default full batch)"),
@@ -173,7 +194,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("steps", _POSITIVE, 50, "schedule length T"),
         Opt("predictor", _one_of(_PREDICTORS), "zero", " | ".join(_PREDICTORS)),
         Opt("dim", _POSITIVE, 64, "latent vector length"),
-        Opt("guidance", float, None, "wrap the predictor with this guidance scale"),
+        Opt("guidance", _finite(), None, "wrap the predictor with this guidance scale"),
         Opt("dump", str, None, "directory for trajectory tensors"),
         _COMMON_SEED,
     ],

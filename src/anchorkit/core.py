@@ -7,9 +7,11 @@ flattened from. Each holds only its data, an immutable float64 copy that
 ``_as_owned_f64`` checks for finiteness, rank and extents >= 1, so
 neither the numerical modules nor the loaders re-check them.
 ``flatten``/``unflatten`` are the one definition of the token layout.
-``_exp_shifted`` is the one max-shifted exponential behind every softmax
-in the package: the objective's column softmax and contrastive rows, and
-the attention scores. ``_anchor_matrix`` is the one check of an anchor
+``_exp_shifted`` is the one max-shifted exponential behind every exact
+softmax in the package: the objective's column softmax and contrastive
+rows, ``attention_weights``, and the attention rows whose folded shift
+underflowed (the attention kernels otherwise shift their scores inside
+the score product). ``_anchor_matrix`` is the one check of an anchor
 set handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.

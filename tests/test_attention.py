@@ -227,6 +227,85 @@ class TestTiling:
         assert peak < 3 * attention._TILE_BYTES
 
 
+class TestExactFallback:
+    """Rows whose weights underflow under the Cauchy-Schwarz shift are
+    recomputed with the exact row-max shift; both paths match the oracle
+    to perfbench's tolerance."""
+
+    M = 7
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        """Number of query rows that went through the exact path."""
+        seen = []
+
+        def spy(x, axis, out):
+            seen.append(x.shape[0])
+            return exact(x, axis, out)
+
+        exact = attention._exp_shifted
+        monkeypatch.setattr(attention, "_exp_shifted", spy)
+        return lambda: sum(seen)
+
+    @staticmethod
+    def attend_and_oracle(mode, tokens, anchors, proj):
+        keys_from = tokens if mode == "full" else anchors
+        if mode == "full":
+            out = full_attention(TokenMatrix(tokens), proj).data
+        else:
+            out = anchor_attention(TokenMatrix(tokens), anchors, proj).data
+        expected = naive_attention(
+            tokens @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
+        )
+        return out, expected
+
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_scaled_tokens_take_the_exact_path_for_every_row(self, exact_rows, mode):
+        rng = seeded_rng(17)
+        tokens = 1e3 * rng.standard_normal((self.M, 4))
+        anchors = 1e3 * rng.standard_normal((3, 4))
+        proj = init_projection(4, 3, seed=8)
+        out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
+        assert exact_rows() == self.M
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
+
+    # one token (full) or one anchor (anchor) far longer than the rest:
+    # rows pointing along its key keep the shifted path, the others fall back
+    @pytest.mark.parametrize("rows_per_tile", [1, 2, 3, 7])
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_some_rows_fall_back_under_ragged_tiles(
+        self, monkeypatch, exact_rows, mode, rows_per_tile
+    ):
+        rng = seeded_rng(17)
+        tokens = rng.standard_normal((self.M, 4))
+        anchors = rng.standard_normal((3, 4))
+        if mode == "full":
+            tokens[2] *= 300
+        else:
+            anchors[0] *= 300
+        n_keys = self.M if mode == "full" else 3
+        monkeypatch.setattr(attention, "_TILE_BYTES", 8 * n_keys * rows_per_tile)
+        proj = init_projection(4, 3, seed=8)
+        out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
+        assert 0 < exact_rows() < self.M
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_all_zero_keys_give_the_mean_value_row(self, exact_rows, mode):
+        rng = seeded_rng(18)
+        w_query, w_value = rng.standard_normal((2, 4, 3))
+        proj = attention.AttentionProjection(w_query, np.zeros((4, 3)), w_value)
+        tokens = rng.standard_normal((self.M, 4))
+        anchors = rng.standard_normal((3, 4))
+        out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
+        keys_from = tokens if mode == "full" else anchors
+        assert exact_rows() == 0
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            out, np.broadcast_to((keys_from @ w_value).mean(axis=0), out.shape), rtol=1e-12
+        )
+
+
 class TestAttentionWeights:
     def test_rows_are_stochastic(self):
         rng = seeded_rng(12)
@@ -251,6 +330,12 @@ class TestFlopCount:
         """At A = M the two cost formulas coincide exactly."""
         for m in (64, 1024, 4096):
             assert flop_count(m, m, 32, 16, "anchor") == flop_count(m, m, 32, 16, "full")
+
+    def test_score_and_mixing_products_are_d_plus_one_wide(self):
+        """The extra column carries the softmax shift in and the row sum out."""
+        m, a, c, d = 10, 3, 5, 4
+        assert flop_count(m, a, c, d, "full") == 3 * m * c * d + 2 * m * m * (d + 1)
+        assert flop_count(m, a, c, d, "anchor") == (m + 2 * a) * c * d + 2 * m * a * (d + 1)
 
     def test_fphi_is_linear_in_tokens(self):
         one = flop_count(1000, 512, 64, 64, "fphi", hidden_dims=(128, 128))

@@ -61,18 +61,20 @@ class TestGen:
         assert run_cli("gen", "--out", str(tmp_path / "x")) == 2
         assert run_cli("gen", "--mixture", "--drift", "--out", str(tmp_path / "x")) == 2
 
+    # non-finite or negative values are named by their flag; finite values the
+    # option table accepts but the library cannot use are named by its field
     @pytest.mark.parametrize("kind,flag,value,field", [
-        ("--mixture", "--center-scale", "inf", "center_scale"),
-        ("--mixture", "--center-scale", "-1", "center_scale"),
-        ("--mixture", "--center-scale", "nan", "center_scale"),
+        ("--mixture", "--center-scale", "inf", "--center-scale"),
+        ("--mixture", "--center-scale", "-1", "--center-scale"),
+        ("--mixture", "--center-scale", "nan", "--center-scale"),
         ("--mixture", "--center-scale", "1e308", "center_scale"),
-        ("--mixture", "--noise-sigma", "nan", "noise_sigma"),
-        ("--mixture", "--noise-sigma", "inf", "noise_sigma"),
-        ("--mixture", "--noise-sigma", "-0.5", "noise_sigma"),
+        ("--mixture", "--noise-sigma", "nan", "--noise-sigma"),
+        ("--mixture", "--noise-sigma", "inf", "--noise-sigma"),
+        ("--mixture", "--noise-sigma", "-0.5", "--noise-sigma"),
         ("--drift", "--drift-per-frame", "1e300", "drift_per_frame"),
         ("--drift", "--drift-per-frame", "-1e300", "drift_per_frame"),
-        ("--drift", "--drift-per-frame", "nan", "drift_per_frame"),
-        ("--drift", "--drift-per-frame", "inf", "drift_per_frame"),
+        ("--drift", "--drift-per-frame", "nan", "--drift-per-frame"),
+        ("--drift", "--drift-per-frame", "inf", "--drift-per-frame"),
     ])
     def test_bad_spread_or_drift_exits_2_naming_the_field(
         self, tmp_path, capsys, kind, flag, value, field
@@ -83,6 +85,12 @@ class TestGen:
         assert "Traceback" not in err
         assert field in err.splitlines()[-1]
         assert not list(tmp_path.iterdir())
+
+    def test_leftward_drift_is_legal(self, tmp_path):
+        """The drift only has to keep grid positions exact, in either direction."""
+        out = tmp_path / "vid"
+        assert run_cli("gen", "--drift", "--drift-per-frame", "-1.5", "--out", str(out)) == 0
+        assert load_array(out.with_suffix(".vlt")).shape == (4, 8, 16, 16)
 
     def test_overflowing_noise_exits_2_without_warning(self, tmp_path, capsys):
         """Each spread passes its own check, but the drawn points overflow."""
@@ -347,8 +355,8 @@ class TestDdim:
         ("--dim", "0", "--dim"),
         ("--dim", "-2", "--dim"),
         ("--steps", "0", "--steps"),
-        ("--guidance", "nan", "guidance scale must be finite"),
-        ("--guidance", "inf", "guidance scale must be finite"),
+        ("--guidance", "nan", "--guidance"),
+        ("--guidance", "inf", "--guidance"),
         ("--predictor", "bogus", "--predictor"),
     ])
     def test_bad_setting_rejected_before_work(self, tmp_path, capsys, flag, value, named):
@@ -525,6 +533,42 @@ INTEGER_FLOORS = {
 FLOOR_CASES = [(command, name, low) for command, floors in INTEGER_FLOORS.items()
                for name, low in floors.items()]
 
+# the bound of every float option beyond being finite: "> 0", ">= 0" or None
+FLOAT_BOUNDS = {
+    "gen": {"center_scale": ">= 0", "noise_sigma": ">= 0", "drift_per_frame": None},
+    "train": {"temperature": "> 0", "lambda_vi": ">= 0", "lr": "> 0"},
+    "ddim": {"guidance": None},
+}
+# (command, option, bad value, message after the source)
+FLOAT_CASES = [(command, name, "inf", "must be finite, got inf")
+               for command, bounds in FLOAT_BOUNDS.items() for name in bounds]
+FLOAT_CASES += [(command, name, *{"> 0": ("0", "must be > 0, got 0.0"),
+                                  ">= 0": ("-0.5", "must be >= 0, got -0.5")}[bound])
+                for command, bounds in FLOAT_BOUNDS.items()
+                for name, bound in bounds.items() if bound]
+LIST_OPTIONS = [("bench", "m_values"), ("bench", "modes"), ("train", "hidden")]
+
+
+def _rejected_before_any_work(tmp_path, valid_args, capsys, command, name, value, source):
+    """Run ``command`` with one bad setting from ``source``; return the error's
+    source and the stderr lines, after checking that nothing was echoed or written."""
+    args = valid_args[command]
+    flag = "--" + name.replace("_", "-")
+    if source == "flag":
+        extra, named = (flag, value), flag
+    else:
+        if flag in args:  # a flag would override the file
+            del args[args.index(flag):args.index(flag) + 2]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n", encoding="utf-8")
+        extra, named = ("--config", str(cfg)), f"{cfg} key {name}"
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(command, *args, *extra) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert not any(line.startswith("config ") for line in err)
+    assert sorted(tmp_path.rglob("*")) == before
+    return named, err
+
 
 class TestSettingSources:
     @pytest.mark.parametrize("command", list(OPTIONS))
@@ -563,22 +607,46 @@ class TestSettingSources:
     ):
         """Named by its flag or by its config file and key, before the config
         echo and before any file is written."""
-        args = valid_args[command]
-        flag = "--" + name.replace("_", "-")
-        if source == "flag":
-            extra, named = (flag, str(low - 1)), flag
-        else:
-            if flag in args:  # a flag would override the file
-                del args[args.index(flag):args.index(flag) + 2]
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{name} = {low - 1}\n", encoding="utf-8")
-            extra, named = ("--config", str(cfg)), f"{cfg} key {name}"
-        before = sorted(tmp_path.rglob("*"))
-        assert run_cli(command, *args, *extra) == 2
-        err = capsys.readouterr().err.splitlines()
+        named, err = _rejected_before_any_work(
+            tmp_path, valid_args, capsys, command, name, str(low - 1), source
+        )
         assert err[-1] == f"error: {named}: must be >= {low}, got {low - 1}"
-        assert not any(line.startswith("config ") for line in err)
-        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_float_table_covers_every_float_option(self):
+        for command, opts in OPTIONS.items():
+            floats = set()
+            for opt in opts:
+                try:
+                    value = opt.conv("0.5")
+                except ValueError:
+                    continue
+                if type(value) is float:
+                    floats.add(opt.name)
+                    assert value == 0.5
+            assert floats == set(FLOAT_BOUNDS.get(command, {})), command
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command,name,value,text", FLOAT_CASES,
+                             ids=[f"{c}-{n}-{v}" for c, n, v, _ in FLOAT_CASES])
+    def test_bad_float_rejected_before_any_work(
+        self, tmp_path, valid_args, capsys, command, name, value, text, source
+    ):
+        """Named by its flag or file key, not by the library field it feeds."""
+        named, err = _rejected_before_any_work(
+            tmp_path, valid_args, capsys, command, name, value, source
+        )
+        assert err[-1] == f"error: {named}: {text}"
+
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    @pytest.mark.parametrize("command,name", LIST_OPTIONS,
+                             ids=[f"{command}-{name}" for command, name in LIST_OPTIONS])
+    def test_empty_list_rejected_before_any_work(
+        self, tmp_path, valid_args, capsys, command, name, value
+    ):
+        named, err = _rejected_before_any_work(
+            tmp_path, valid_args, capsys, command, name, value, "flag"
+        )
+        assert err[-1] == f"error: {named}: must list at least one value, got {value!r}"
 
     @pytest.mark.parametrize("argv,flag,choices", [
         (("train", "--prior", "bogus"), "--prior", PRIOR_MODES),
