@@ -16,8 +16,17 @@ anchors pools them itself. Each term has one ``*_value_and_grad``
 function that shares its work between the value and the gradient;
 ``total_loss`` calls each once per training step. ``contrastive_loss``,
 ``contrastive_grad``, ``kl_uniform`` and ``kl_uniform_grad`` return one
-half of such a call. Elementwise steps write into (n_anchors, M) buffers
-the pass already holds; no public function writes its arguments.
+half of such a call. ``total_loss`` runs the regularizer first, so its
+scratch is freed before the contrastive term, which works in one
+(n_anchors, M) buffer next to the regularizer's gradient: at most two
+such buffers beyond the assignments are alive at once. The matrix
+products fill whole buffers; the elementwise passes between them, and
+the softmax backward, walk the anchors in row tiles of about
+``_TILE_BYTES``, so a tile stays in cache from one pass to the next.
+Every result is bit-identical to whole-matrix passes: each reduction
+runs along a row, except the softmax backward's column sums, which carry
+their running sums from tile to tile in the row order of numpy's own
+axis-0 sum. No public function writes its arguments.
 
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
@@ -42,6 +51,11 @@ DEGENERATE_MASS = 1e-12
 SIM_EPSILON = 1e-8
 # lower bound on the Gaussian prior's per-anchor variances
 VARIANCE_FLOOR = 1e-6
+
+# bytes of one row tile of an (n_anchors, M) array in the elementwise passes:
+# a tile and its few companions fit one core's L2 cache (2 MiB), so a tile
+# stays in cache from one pass to the next instead of going back to memory
+_TILE_BYTES = 512 * 2**10
 
 
 @dataclass(frozen=True)
@@ -119,14 +133,16 @@ def kl_uniform_value_and_grad(assignments: np.ndarray) -> tuple[float, np.ndarra
     tokens.
     """
     r = np.asarray(assignments, dtype=np.float64)
-    mask = r > 0
-    log_ratio = np.zeros_like(r)
-    np.multiply(r, r.shape[0], out=log_ratio, where=mask)
-    np.log(log_ratio, out=log_ratio, where=mask)
-    scratch = np.multiply(r, log_ratio)
-    value = float(scratch.sum())
-    log_ratio += mask  # d(value)/dr: log(r * A) + 1 where r > 0, else 0
-    return value, _softmax_backward(r, log_ratio, scratch)
+    # flat indices of the entries that are not > 0 (zeros, and NaN in bad input)
+    dead = np.flatnonzero(~(r > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.multiply(r, r.shape[0], order="C")  # ravel() is a view
+        np.log(log_ratio, out=log_ratio)
+    log_ratio.ravel()[dead] = 0.0
+    value = float(np.multiply(r, log_ratio).sum())
+    log_ratio += 1.0  # d(value)/dr: log(r * A) + 1 where r > 0, else 0
+    log_ratio.ravel()[dead] = 0.0
+    return value, _softmax_backward(r, log_ratio)
 
 
 def kl_uniform(assignments: np.ndarray) -> float:
@@ -147,22 +163,6 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
         raise DimensionError(f"vector lengths differ: {u.shape} vs {v.shape}")
     denom = np.linalg.norm(u) * np.linalg.norm(v) + SIM_EPSILON
     return float(u @ v / denom)
-
-
-def _sim_matrix(anchors: np.ndarray, tokens: TokenMatrix):
-    """Cosine similarities of every anchor against every token.
-
-    Returns (sims, denom, anchor_norms, token_norms) so gradient code can
-    reuse the factors.
-    """
-    z = tokens.data
-    anchor_norms = np.linalg.norm(anchors, axis=1)
-    token_norms = np.linalg.norm(z, axis=1)
-    denom = anchor_norms[:, None] * token_norms[None, :]
-    denom += SIM_EPSILON
-    sims = anchors @ z.T
-    sims /= denom
-    return sims, denom, anchor_norms, token_norms
 
 
 def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
@@ -198,40 +198,54 @@ def contrastive_value_and_grad(
 
     The anchors are pooled here, anchors = R Z, and the gradient flows
     through that product and then through the column softmax, with the
-    top-k sets held fixed. Tokens are data and receive no gradient. The
-    similarity matrix, its exponentials and the top-k mask are built once
-    and shared by the value and the gradient, in four (n_anchors, M)
-    buffers besides the mask.
+    top-k sets held fixed. Tokens are data and receive no gradient.
+
+    One (n_anchors, M) buffer, ``work``, holds in turn the products
+    c_a . z_m, the top-k products for the positives' sum, the direct
+    weights dL/dsims / denom, dL/dR and dL/dlogits; the matrix products
+    fill it whole. Between them, each row tile of anchors runs every
+    elementwise pass in three tile buffers (the denominator, the
+    similarities and their scaled exponentials) and fills its rows of the
+    per-anchor vectors, so a tile's passes stay in cache.
     """
     z = tokens.data
     anchors = pool_anchors(assignments, tokens)  # also checks the shapes
-    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, tokens)
-    scaled = sims / cfg.temperature
     mask = _top_k_mask(assignments, cfg.top_k)
+    anchor_norms = np.linalg.norm(anchors, axis=1)
+    token_norms = np.linalg.norm(z, axis=1)
+    work = anchors @ z.T
+    rows, starts = _row_tiles(work.shape)
+    denom, sims, scaled = (np.empty((rows, work.shape[1])) for _ in range(3))
+    positives, lse, beta = (np.empty(len(work)) for _ in range(3))
+    for start in starts:
+        t = slice(start, start + rows)
+        block = work[t]
+        den, sim, sc = denom[: len(block)], sims[: len(block)], scaled[: len(block)]
+        np.multiply(anchor_norms[t, None], token_norms[None, :], out=den)
+        den += SIM_EPSILON
+        np.divide(block, den, out=sim)
+        np.divide(sim, cfg.temperature, out=sc)
+        positives[t] = np.multiply(sc, mask[t], out=block).sum(axis=1)
+        row_max = _exp_shifted(sc, 1, sc)  # sc now holds the exponentials
+        row_sum = sc.sum(axis=1, keepdims=True)
+        lse[t] = np.log(row_sum[:, 0]) + row_max[:, 0]
+        # sc in turn: softmax, dL/d(sims/tau), dL/dsims
+        sc /= row_sum
+        np.subtract(sc, 1.0 / cfg.top_k, out=sc, where=mask[t])
+        sc /= cfg.temperature
+        # sims[a,m] = (c_a . z_m) / denom[a,m]; differentiate both factors.
+        w_direct = np.divide(sc, den, out=block)
+        # beta = sum_m w_direct * sims * |z_m|, in the similarity tile
+        sim *= w_direct
+        sim *= token_norms[None, :]
+        beta[t] = sim.sum(axis=1)
+    value = float((lse - positives / cfg.top_k).sum())
 
-    d_assignments = np.multiply(scaled, mask)  # this buffer later takes dL/dR
-    positives_mean = d_assignments.sum(axis=1) / cfg.top_k
-    row_max = _exp_shifted(scaled, 1, scaled)  # scaled now holds the exponentials
-    row_sum = scaled.sum(axis=1, keepdims=True)
-    lse = np.log(row_sum[:, 0]) + row_max[:, 0]
-    value = float((lse - positives_mean).sum())
-
-    # one buffer, in turn: softmax, dL/d(sims/tau), dL/dsims, direct weight
-    w_direct = np.divide(scaled, row_sum, out=scaled)
-    np.subtract(w_direct, 1.0 / cfg.top_k, out=w_direct, where=mask)
-    w_direct /= cfg.temperature
-    # sims[a,m] = (c_a . z_m) / denom[a,m]; differentiate both factors.
-    w_direct /= denom
-    d_anchors = w_direct @ z
-    # beta = sum_m w_direct * sims * |z_m|, built in sims' buffer (its last use)
-    sims *= w_direct
-    sims *= token_norms[None, :]
-    beta = sims.sum(axis=1)
+    d_anchors = work @ z
     safe_norms = np.maximum(anchor_norms, 1e-300)
     d_anchors -= (beta / safe_norms)[:, None] * anchors
-
-    np.matmul(d_anchors, z.T, out=d_assignments)
-    return value, _softmax_backward(assignments, d_assignments, sims)
+    np.matmul(d_anchors, z.T, out=work)
+    return value, _softmax_backward(assignments, work)
 
 
 def contrastive_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> float:
@@ -245,16 +259,38 @@ def contrastive_grad(assignments: np.ndarray, tokens: TokenMatrix,
     return contrastive_value_and_grad(assignments, tokens, cfg)[1]
 
 
-def _softmax_backward(
-    assignments: np.ndarray, d_assignments: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Chain dL/dR through the column softmax to dL/dlogits, in ``d_assignments``' buffer;
-    ``scratch`` is a spare array of its shape."""
+def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.ndarray:
+    """Chain dL/dR through the column softmax to dL/dlogits, in ``d_assignments``' buffer.
+
+    The column sums of r * dL/dR are taken one row tile of products at a
+    time, with the sums of the rows before a tile added into its first
+    row. numpy's axis-0 sum adds the rows of a C-ordered array one after
+    another, so these sums equal those over the whole array. (A single
+    column is summed pairwise instead, but it needs 65,536 anchors to fill
+    a second tile.)
+    """
     r = np.asarray(assignments, dtype=np.float64)
-    inner = np.multiply(r, d_assignments, out=scratch).sum(axis=0, keepdims=True)
-    d_assignments -= inner
-    d_assignments *= r
-    return d_assignments
+    d = d_assignments
+    rows, starts = _row_tiles(d.shape)
+    tile = np.empty((rows, d.shape[1]))
+    for start in starts:
+        t = slice(start, start + rows)
+        products = np.multiply(r[t], d[t], out=tile[: len(d[t])])
+        if start:
+            products[0] += inner
+        inner = products.sum(axis=0)
+    for start in starts:
+        t = slice(start, start + rows)
+        d[t] -= inner
+        d[t] *= r[t]
+    return d
+
+
+def _row_tiles(shape: tuple[int, int]) -> tuple[int, range]:
+    """Rows per tile of a float64 ``shape`` array under ``_TILE_BYTES``, and the tiles' first rows."""
+    n, m = shape
+    rows = min(n, max(1, _TILE_BYTES // (8 * m)))
+    return rows, range(0, n, rows)
 
 
 def gaussian_kl_closed_form(mean: np.ndarray, variance: np.ndarray) -> float:
@@ -339,7 +375,8 @@ def gaussian_prior_value_and_grad(
         means @ z.T + d_var @ (z**2).T - 2.0 * (d_var * means) @ z.T
     ) + per_anchor_const[:, None]
     per_token /= safe_mass[:, None]
-    return value, _softmax_backward(r, np.where(ok[:, None], per_token, 0.0), per_token)
+    per_token[~ok] = 0.0
+    return value, _softmax_backward(r, per_token)
 
 
 @dataclass(frozen=True)
@@ -361,14 +398,17 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
     matching. At ``kl_weight = 0`` no regularizer is evaluated and
     ``regularizer`` is 0.0.
     """
-    contrast, grad = contrastive_value_and_grad(assignments, tokens, cfg)
-    reg = 0.0
+    reg, reg_grad = 0.0, None
     if cfg.kl_weight != 0.0:
         if cfg.prior_mode == "categorical":
             reg, reg_grad = kl_uniform_value_and_grad(assignments)
         else:
             reg, reg_grad = gaussian_prior_value_and_grad(assignments, tokens)
         reg_grad *= cfg.kl_weight
-        grad += reg_grad
+    # the regularizer first, so its scratch is freed before the contrastive term's
+    contrast, grad = contrastive_value_and_grad(assignments, tokens, cfg)
+    if reg_grad is not None:
+        reg_grad += grad
+        grad = reg_grad
     total = contrast + cfg.kl_weight * reg
     return ObjectiveValue(total, contrast, reg, grad, assignments)

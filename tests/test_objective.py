@@ -22,7 +22,6 @@ from anchorkit.objective import (
     VARIANCE_FLOOR,
     AnchorConfig,
     _column_softmax,
-    _sim_matrix,
     _top_k_mask,
     anchor_moments,
     contrastive_grad,
@@ -447,6 +446,19 @@ def lexsort_top_k_mask(r, k):
     return mask
 
 
+def sim_matrix(anchors, tokens):
+    """Cosine similarities of every anchor against every token, and the
+    factors the gradient reuses: (sims, denom, anchor_norms, token_norms)."""
+    z = tokens.data
+    anchor_norms = np.linalg.norm(anchors, axis=1)
+    token_norms = np.linalg.norm(z, axis=1)
+    denom = anchor_norms[:, None] * token_norms[None, :]
+    denom += SIM_EPSILON
+    sims = anchors @ z.T
+    sims /= denom
+    return sims, denom, anchor_norms, token_norms
+
+
 def softmax_backward(r, d_assignments):
     return r * (d_assignments - (r * d_assignments).sum(axis=0, keepdims=True))
 
@@ -462,14 +474,14 @@ def two_pass_total_loss(logits, z, cfg):
     r = soft_assign(logits)
     anchors = pool_anchors(r, z)
 
-    sims, _, _, _ = _sim_matrix(anchors, z)
+    sims, _, _, _ = sim_matrix(anchors, z)
     scaled = sims / cfg.temperature
     mask = lexsort_top_k_mask(r, cfg.top_k)
     row_max = scaled.max(axis=1, keepdims=True)
     lse = np.log(np.exp(scaled - row_max).sum(axis=1)) + row_max[:, 0]
     contrast = float((lse - (scaled * mask).sum(axis=1) / cfg.top_k).sum())
 
-    sims, denom, anchor_norms, token_norms = _sim_matrix(anchors, z)
+    sims, denom, anchor_norms, token_norms = sim_matrix(anchors, z)
     scaled = sims / cfg.temperature
     mask = lexsort_top_k_mask(r, cfg.top_k)
     row_max = scaled.max(axis=1, keepdims=True)
@@ -505,6 +517,27 @@ def two_pass_total_loss(logits, z, cfg):
     return contrast + cfg.kl_weight * reg, contrast, reg, grad
 
 
+def assert_same_bits(got, want):
+    """Equal shapes and bytes: unlike ``assert_array_equal``, -0.0 differs from 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_total_loss_equals_two_pass_reference(mode, quantised):
+    rng = seeded_rng(22)
+    z = TokenMatrix(rng.standard_normal((48, 5)))
+    logits = rng.standard_normal((6, 48))
+    if quantised:  # repeated logit columns tie responsibilities at the top-k cut
+        logits = np.tile(np.round(logits[:, :8]), 6)
+    cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode)
+    out = total_loss(soft_assign(logits), z, cfg)
+    total, contrast, reg, grad = two_pass_total_loss(logits, z, cfg)
+    assert_same_bits(out.total, total)
+    assert_same_bits(out.contrastive, contrast)
+    assert_same_bits(out.regularizer, reg)
+    assert_same_bits(out.grad_logits, grad)
+
+
 class TestSinglePass:
     """total_loss computes each term once and still matches the two-pass
     reference bit for bit, tie-heavy assignments included."""
@@ -512,18 +545,7 @@ class TestSinglePass:
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     @pytest.mark.parametrize("quantised", [False, True])
     def test_total_loss_equals_two_pass_reference(self, mode, quantised):
-        rng = seeded_rng(22)
-        z = TokenMatrix(rng.standard_normal((48, 5)))
-        logits = rng.standard_normal((6, 48))
-        if quantised:  # repeated logit columns tie responsibilities at the top-k cut
-            logits = np.tile(np.round(logits[:, :8]), 6)
-        cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode)
-        out = total_loss(soft_assign(logits), z, cfg)
-        total, contrast, reg, grad = two_pass_total_loss(logits, z, cfg)
-        np.testing.assert_array_equal(out.total, total)
-        np.testing.assert_array_equal(out.contrastive, contrast)
-        np.testing.assert_array_equal(out.regularizer, reg)
-        np.testing.assert_array_equal(out.grad_logits, grad)
+        assert_total_loss_equals_two_pass_reference(mode, quantised)
 
     def test_partition_mask_equals_lexsort_mask(self):
         rng = seeded_rng(23)
@@ -585,24 +607,28 @@ def logit_cases():
     }
 
 
+def assert_terms_equal_references(case):
+    logits, z = logit_cases()[case]
+    r = reference_soft_assign(logits)
+    np.testing.assert_array_equal(soft_assign(logits), r)
+    buf = logits.copy()
+    assert _column_softmax(buf, buf) is buf
+    np.testing.assert_array_equal(buf, r)
+    for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
+        assert_same_bits(got, want)
+    cfg = AnchorConfig(n_anchors=6, top_k=5)
+    for got, want in zip(contrastive_value_and_grad(r, z, cfg),
+                         reference_contrastive_value_and_grad(r @ z.data, z, r, cfg)):
+        assert_same_bits(got, want)
+
+
 class TestInPlaceObjective:
     """The buffer-reusing softmax and loss terms match the one-array-per-
     operation references bit for bit and never write their inputs."""
 
     @pytest.mark.parametrize("case", ["random", "ties", "huge"])
     def test_terms_equal_references(self, case):
-        logits, z = logit_cases()[case]
-        r = reference_soft_assign(logits)
-        np.testing.assert_array_equal(soft_assign(logits), r)
-        buf = logits.copy()
-        assert _column_softmax(buf, buf) is buf
-        np.testing.assert_array_equal(buf, r)
-        for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
-            np.testing.assert_array_equal(got, want)
-        cfg = AnchorConfig(n_anchors=6, top_k=5)
-        for got, want in zip(contrastive_value_and_grad(r, z, cfg),
-                             reference_contrastive_value_and_grad(r @ z.data, z, r, cfg)):
-            np.testing.assert_array_equal(got, want)
+        assert_terms_equal_references(case)
 
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     def test_public_functions_leave_inputs_unchanged(self, mode):
@@ -616,6 +642,18 @@ class TestInPlaceObjective:
         np.testing.assert_array_equal(logits_seen, logits)
         np.testing.assert_array_equal(r_seen, r)
         np.testing.assert_array_equal(z.data, data)
+
+    @pytest.mark.parametrize("case", ["random", "huge"])
+    def test_terms_take_fortran_ordered_assignments(self, case):
+        """A column-major view gives the same bits as its C-ordered copy
+        ("huge" has zero responsibilities, which the KL term zeroes)."""
+        logits, z = logit_cases()[case]
+        r = reference_soft_assign(logits)
+        cfg = AnchorConfig(n_anchors=6, top_k=5)
+        for term, args in ((kl_uniform_value_and_grad, ()),
+                           (contrastive_value_and_grad, (z, cfg))):
+            for got, want in zip(term(np.asfortranarray(r), *args), term(r, *args)):
+                assert_same_bits(got, want)
 
     def test_soft_assign_traced_peak_is_one_output(self):
         """At A=512, M=4096 the softmax holds its output and a boolean
@@ -640,3 +678,41 @@ class TestInPlaceObjective:
             buf = logits.copy()
             np.testing.assert_array_equal(_column_softmax(buf, buf), want)
         np.testing.assert_allclose(want.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+class TestRowTiles:
+    """The elementwise passes walk the anchors in row tiles. Budgets of 1, 2,
+    3 and 5 rows split the 6 anchors into several tiles, the last one
+    ragged, and every result stays bit-identical to the references."""
+
+    @pytest.fixture(params=[1, 2, 3, 5])
+    def rows_per_tile(self, request, monkeypatch):
+        monkeypatch.setattr(objective, "_TILE_BYTES", 8 * 48 * request.param)
+        return request.param
+
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    @pytest.mark.parametrize("quantised", [False, True])
+    def test_total_loss_equals_two_pass_reference(self, rows_per_tile, mode, quantised):
+        assert objective._row_tiles((6, 48))[0] == rows_per_tile
+        assert_total_loss_equals_two_pass_reference(mode, quantised)
+
+    @pytest.mark.parametrize("case", ["random", "ties", "huge"])
+    def test_terms_equal_references(self, rows_per_tile, case):
+        assert_terms_equal_references(case)
+
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    def test_total_loss_traced_peak_below_two_and_a_half_assignment_matrices(self, mode):
+        """At A=512, M=4096 (16-row tiles) the regularizer runs first and
+        its scratch is freed before the contrastive term's one buffer, so
+        the objective holds at most two assignment-sized arrays beyond its
+        input, plus the top-k mask and three tiles (the whole-matrix passes
+        peaked near 4.1)."""
+        tokens = TokenMatrix(seeded_rng(42).standard_normal((4096, 16)))
+        r = soft_assign(seeded_rng(43).standard_normal((512, 4096)))
+        tracemalloc.start()
+        try:
+            total_loss(r, tokens, AnchorConfig(n_anchors=512, prior_mode=mode))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * r.nbytes
