@@ -26,8 +26,8 @@ from .core import (
     FormatError,
     NumericalError,
     TokenMatrix,
+    _checked_record,
     _decode_array,
-    _encode_array,
     seeded_rng,
 )
 
@@ -231,7 +231,8 @@ def save_checkpoint(path, net: AssignmentNetwork, step_count: int = 0) -> None:
 
     The manifest records the layer shapes, the activation tag, and the
     optimizer step count; each layer's weight then bias follow as VLT1
-    records in layer order.
+    records in layer order. A record that :func:`load_checkpoint` would
+    reject raises before the file is opened.
     """
     lines = [
         "anchorkit-checkpoint v1",
@@ -245,8 +246,8 @@ def save_checkpoint(path, net: AssignmentNetwork, step_count: int = 0) -> None:
     blob = io.BytesIO()
     blob.write(("\n".join(lines) + "\n").encode("utf-8"))
     for layer in net.layers:
-        blob.write(_encode_array(layer.weight))
-        blob.write(_encode_array(layer.bias))
+        blob.write(_checked_record(path, layer.weight))
+        blob.write(_checked_record(path, layer.bias))
     with open(path, "wb") as fh:
         fh.write(blob.getvalue())
 

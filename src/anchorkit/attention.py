@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix
-from .core import _anchor_matrix, _exp_shifted, flatten, seeded_rng, unflatten
+from .core import _anchor_matrix, _exp_shifted, _row_tiles, flatten, seeded_rng, unflatten
 
 # bytes of the one score buffer a call reuses for every row tile: big
 # enough for efficient matrix products (128 rows at 8192 keys), small
@@ -125,10 +125,10 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
     np.multiply(np.linalg.norm(queries[:, :d], axis=1), key_bound, out=queries[:, d])
     keys[:, d] = -1.0
     values[:, d] = 1.0
-    rows = max(1, _TILE_BYTES // (8 * n))
-    scores = np.empty((min(rows, m), n))
-    mixed = np.empty((min(rows, m), d + 1))
-    for start in range(0, m, rows):
+    rows, starts = _row_tiles((m, n), _TILE_BYTES)
+    scores = np.empty((rows, n))
+    mixed = np.empty((rows, d + 1))
+    for start in starts:
         tile = queries[start : start + rows]
         weights, sums = scores[: len(tile)], mixed[: len(tile)]
         np.exp(np.matmul(tile, keys.T, out=weights), out=weights)

@@ -363,7 +363,7 @@ def cmd_compress(cfg: dict) -> int:
     if cfg["out_c"]:
         save_array(cfg["out_c"], result.anchors)
     entropy = compressor.anchor_usage_entropy(result.assignments)
-    means = compressor.anchor_means(result.assignments, tokens)
+    means = compressor.anchor_means(result)
     qerr = baselines.quantization_error(tokens, means)
     k = min(result.anchors.shape[0], tokens.num_tokens)
     oracle = baselines.kmeans(tokens, k, seed=cfg["seed"])
@@ -407,11 +407,10 @@ def cmd_bench(cfg: dict) -> int:
             writer.writerows(rows)
     try:
         import resource
-
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(f"peak_rss_kb={peak_kb} (best effort, platform dependent)", file=sys.stderr)
-    except Exception:
-        pass
+    except ImportError:  # no resource module off POSIX
+        return EXIT_OK
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak_rss_kb={peak_kb} (best effort, platform dependent)", file=sys.stderr)
     return EXIT_OK
 
 

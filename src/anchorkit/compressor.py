@@ -7,8 +7,8 @@ network and takes one Adam step. There is no early stopping; a fixed
 step count keeps runs reproducible. Settings that cannot train (a top-k
 larger than the batch, a network of the wrong width) are rejected before
 a network is built or run. Inference is the same forward pass and
-softmax, then one matrix multiplication. ``anchor_means`` divides the pooled
-rows by their mass, with the degenerate-anchor rule of the objective.
+softmax, then one matrix multiplication. ``anchor_means`` divides the anchors
+``compress`` pooled by their mass, with the objective's degenerate-anchor rule.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     TokenMatrix,
     seeded_rng,
 )
-from .objective import AnchorConfig, _anchor_mass, _column_softmax, pool_anchors, total_loss
+from .objective import AnchorConfig, _anchor_mass, pool_anchors, soft_assign, total_loss
 
 REPORT_COLUMNS = ("step", "total", "contrastive", "regularizer", "entropy")
 
@@ -150,7 +150,7 @@ def train(
         # one forward pass per step; backprop reuses its activations, the softmax its logits
         acts = assignnet._forward_cached(net, batch)
         try:
-            assignments = _column_softmax(acts[-1], acts[-1])
+            assignments = soft_assign(acts[-1], out=acts[-1])
         except NumericalError:
             raise TrainingDivergedError(step, "logits") from None
         value = total_loss(assignments, batch, obj)
@@ -184,19 +184,18 @@ def compress(tokens: TokenMatrix, net: AssignmentNetwork) -> CompressResult:
     one (n_anchors, M) array. Pure: equal inputs give bit-identical arrays.
     """
     logits = assignnet.forward(net, tokens)
-    assignments = _column_softmax(logits, logits)
+    assignments = soft_assign(logits, out=logits)
     anchors = pool_anchors(assignments, tokens)
     return CompressResult(assignments, anchors)
 
 
-def anchor_means(assignments: np.ndarray, tokens: TokenMatrix) -> np.ndarray:
-    """Responsibility-weighted token means per anchor.
+def anchor_means(result: CompressResult) -> np.ndarray:
+    """Responsibility-weighted token means per anchor of a :func:`compress` result.
 
-    This is the pooled anchor row divided by its responsibility mass,
-    which puts anchors on the tokens' own scale; it is the representative
-    set used for quantization-error comparisons against clustering
-    baselines. Anchors with no mass are dropped.
+    Each of the result's pooled anchor rows is divided by its
+    responsibility mass, which puts anchors on the tokens' own scale; it
+    is the representative set used for quantization-error comparisons
+    against clustering baselines. Anchors with no mass are dropped.
     """
-    sums = pool_anchors(assignments, tokens)  # also checks the shapes
-    mass, ok, _ = _anchor_mass(assignments)
-    return sums[ok] / mass[ok, None]
+    mass, ok, _ = _anchor_mass(result.assignments)
+    return result.anchors[ok] / mass[ok, None]

@@ -1,5 +1,5 @@
-"""Dense containers, deterministic RNG, the shared softmax exponential, and
-the VLT1 binary tensor format.
+"""Dense containers, deterministic RNG, the shared softmax exponential and
+row-tile rule, and the VLT1 binary tensor format.
 
 Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
@@ -11,10 +11,13 @@ neither the numerical modules nor the loaders re-check them.
 softmax in the package: the objective's column softmax and contrastive
 rows, ``attention_weights``, and the attention rows whose folded shift
 underflowed (the attention kernels otherwise shift their scores inside
-the score product). ``_anchor_matrix`` is the one check of an anchor
-set handed to attention or the quantization error.
+the score product). ``_row_tiles`` is the one row-tile rule (objective
+and attention); ``_anchor_matrix`` is the one check of an anchor set
+handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
+The writers refuse, before opening a file, any record that the decoder
+would reject.
 """
 
 from __future__ import annotations
@@ -84,6 +87,13 @@ def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     shift = x.max(axis=axis, keepdims=True)
     np.exp(np.subtract(x, shift, out=out), out=out)
     return shift
+
+
+def _row_tiles(shape: tuple[int, int], budget: int) -> tuple[int, range]:
+    """Rows per tile of a float64 ``shape`` array within ``budget`` bytes, and each tile's start."""
+    n, m = shape
+    rows = min(n, max(1, budget // (8 * m)))
+    return rows, range(0, n, rows)
 
 
 def _as_owned_f64(data, name: str, ndim: int) -> np.ndarray:
@@ -213,10 +223,22 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     return arr, offset + nbytes
 
 
+def _checked_record(path, arr) -> bytes:
+    """``arr``'s VLT1 record; one that :func:`_decode_array` rejects raises, naming ``path``."""
+    with np.errstate(over="ignore"):  # beyond float32's range becomes inf, refused below
+        record = _encode_array(np.asarray(arr))
+    try:
+        _decode_array(record, 0)
+    except FormatError as exc:
+        raise type(exc)(f"cannot write {path}: {exc}") from None
+    return record
+
+
 def save_array(path, arr: np.ndarray) -> None:
     """Write one array to ``path`` in the VLT1 format (float32 payload)."""
+    record = _checked_record(path, arr)
     with open(path, "wb") as fh:
-        fh.write(_encode_array(np.asarray(arr)))
+        fh.write(record)
 
 
 def load_array(path) -> np.ndarray:

@@ -21,12 +21,13 @@ scratch is freed before the contrastive term, which works in one
 (n_anchors, M) buffer next to the regularizer's gradient: at most two
 such buffers beyond the assignments are alive at once. The matrix
 products fill whole buffers; the elementwise passes between them, and
-the softmax backward, walk the anchors in row tiles of about
+the softmax backward, walk the anchors in ``core._row_tiles`` of about
 ``_TILE_BYTES``, so a tile stays in cache from one pass to the next.
 Every result is bit-identical to whole-matrix passes: each reduction
 runs along a row, except the softmax backward's column sums, which carry
 their running sums from tile to tile in the row order of numpy's own
-axis-0 sum. No public function writes its arguments.
+axis-0 sum. No public function writes its arguments, except an ``out``
+array handed to ``soft_assign``.
 
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
@@ -38,10 +39,11 @@ under differentiation (selection is piecewise constant in the logits).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, NumericalError, TokenMatrix, _exp_shifted
+from .core import ConfigError, DimensionError, NumericalError, TokenMatrix, _exp_shifted, _row_tiles
 
 PRIOR_MODES = ("categorical", "gaussian")
 
@@ -90,22 +92,19 @@ class AnchorConfig:
             )
 
 
-def soft_assign(logits: np.ndarray) -> np.ndarray:
+def soft_assign(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Column-wise softmax over the anchor axis, max-subtracted.
 
-    Input and output are (n_anchors, M); every output column is a
-    probability vector, computed in the one array this allocates.
+    Input and output are (n_anchors, M); every output column is a probability
+    vector, computed in ``out`` (which may be ``logits``) or in a new array.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be 2-D, got {logits.ndim}-D")
-    return _column_softmax(logits, np.empty_like(logits))
-
-
-def _column_softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`soft_assign` of 2-D float64 ``logits`` into ``out``, which may be ``logits``."""
     if not np.isfinite(logits).all():
         raise NumericalError("logits contain non-finite entries")
+    if out is None:
+        out = np.empty_like(logits)
     _exp_shifted(logits, 0, out)
     out /= out.sum(axis=0, keepdims=True)
     return out
@@ -214,7 +213,7 @@ def contrastive_value_and_grad(
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
     work = anchors @ z.T
-    rows, starts = _row_tiles(work.shape)
+    rows, starts = _row_tiles(work.shape, _TILE_BYTES)
     denom, sims, scaled = (np.empty((rows, work.shape[1])) for _ in range(3))
     positives, lse, beta = (np.empty(len(work)) for _ in range(3))
     for start in starts:
@@ -271,7 +270,7 @@ def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.
     """
     r = np.asarray(assignments, dtype=np.float64)
     d = d_assignments
-    rows, starts = _row_tiles(d.shape)
+    rows, starts = _row_tiles(d.shape, _TILE_BYTES)
     tile = np.empty((rows, d.shape[1]))
     for start in starts:
         t = slice(start, start + rows)
@@ -284,13 +283,6 @@ def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.
         d[t] -= inner
         d[t] *= r[t]
     return d
-
-
-def _row_tiles(shape: tuple[int, int]) -> tuple[int, range]:
-    """Rows per tile of a float64 ``shape`` array under ``_TILE_BYTES``, and the tiles' first rows."""
-    n, m = shape
-    rows = min(n, max(1, _TILE_BYTES // (8 * m)))
-    return rows, range(0, n, rows)
 
 
 def gaussian_kl_closed_form(mean: np.ndarray, variance: np.ndarray) -> float:

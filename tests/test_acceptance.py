@@ -217,7 +217,7 @@ class TestCriterion6AnchorQuality:
         )
         net, _ = compressor.train(data.tokens, cfg)
         result = compressor.compress(data.tokens, net)
-        means = compressor.anchor_means(result.assignments, data.tokens)
+        means = compressor.anchor_means(result)
         qerr = baselines.quantization_error(data.tokens, means)
         elapsed = time.perf_counter() - start
         ratio = qerr / oracle
@@ -365,7 +365,7 @@ class TestCriterion10AnchorCountSweep:
                 )
                 net, _ = compressor.train(data.tokens, cfg)
                 result = compressor.compress(data.tokens, net)
-                means = compressor.anchor_means(result.assignments, data.tokens)
+                means = compressor.anchor_means(result)
                 errs.append(baselines.quantization_error(data.tokens, means))
             medians[n_anchors] = float(np.median(errs))
         pairs = [(2, 4), (4, 8), (8, 16)]

@@ -106,6 +106,18 @@ class TestGen:
         assert "center_scale" in err.splitlines()[-1]
         assert not list(tmp_path.iterdir())
 
+    def test_tokens_beyond_float32_exit_2_and_write_nothing(self, tmp_path, capsys):
+        """Centers of 1e39 are finite in float64 but overflow the stored
+        float32, which the reader would reject."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("gen", "--mixture", "--center-scale", "1e39",
+                           "--out", str(tmp_path / "mix"))
+        assert code == 2
+        assert not caught
+        assert "mix.vlt" in capsys.readouterr().err.splitlines()[-1]
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.fixture()
 def tokens_file(tmp_path):
@@ -327,6 +339,18 @@ class TestBench:
         assert "bench mode=" not in captured.out
         assert named in captured.err
 
+    def test_a_failing_rss_report_is_not_swallowed(self, monkeypatch, capsys):
+        resource = pytest.importorskip("resource")
+
+        def broken(who):
+            raise OSError("getrusage failed")
+
+        monkeypatch.setattr(resource, "getrusage", broken)
+        code = run_cli("bench", "--m-values", "64", "--anchors", "16", "--channels", "8",
+                       "--proj-dim", "8", "--repeats", "1")
+        assert code == 2
+        assert "getrusage failed" in capsys.readouterr().err.splitlines()[-1]
+
 
 class TestDdim:
     def test_zero_predictor_error_tiny(self, capsys):
@@ -343,6 +367,17 @@ class TestDdim:
     def test_single_step(self, capsys):
         assert run_cli("ddim", "--predictor", "zero", "--steps", "1", "--seed", "0") == 0
         assert "steps=1" in capsys.readouterr().out
+
+    def test_unstorable_trajectory_exits_2_without_a_manifest(self, tmp_path, capsys):
+        """A guidance of 1e300 drives the states beyond float32's range."""
+        dump = tmp_path / "traj"
+        code = run_cli("ddim", "--predictor", "tonly", "--guidance", "1e300", "--steps", "5",
+                       "--dim", "4", "--dump", str(dump))
+        assert code == 2
+        assert "state_0001.vlt" in capsys.readouterr().err.splitlines()[-1]
+        assert not (dump / "manifest.txt").exists()
+        for state in dump.glob("state_*.vlt"):
+            load_array(state)
 
     def test_dump_writes_trajectory(self, tmp_path):
         dump = tmp_path / "traj"

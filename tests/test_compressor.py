@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anchorkit import assignnet
+from anchorkit import assignnet, compressor
 from anchorkit.assignnet import AdamParams, AssignmentNetwork, Layer, init_network
 from anchorkit.compressor import (
     TrainConfig,
@@ -17,7 +17,9 @@ from anchorkit.compressor import (
     train,
 )
 from anchorkit.core import ConfigError, NumericalError, TokenMatrix, seeded_rng
-from anchorkit.objective import AnchorConfig, soft_assign, total_loss
+from anchorkit.objective import (
+    DEGENERATE_MASS, AnchorConfig, pool_anchors, soft_assign, total_loss,
+)
 from anchorkit.synth import MixtureSpec, gaussian_mixture
 
 
@@ -291,6 +293,34 @@ class TestInPlaceCompress:
             compress(random_tokens(m=10, c=5, seed=19), net)
 
 
+class TestOneSoftmax:
+    """train and compress softmax through the public soft_assign, once per
+    step or call, in the buffer of the logits it is handed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        in_place = []
+
+        def counted(logits, out=None):
+            in_place.append(out is logits)
+            return soft_assign(logits, out=out)
+
+        monkeypatch.setattr(compressor, "soft_assign", counted)
+        return in_place
+
+    def test_train_calls_soft_assign_once_per_step(self, calls):
+        cfg = TrainConfig(steps=3, log_every=10, seed=3, objective=small_objective(),
+                          hidden_dims=(8,))
+        train(random_tokens(), cfg)
+        assert calls == [True] * 3
+
+    def test_compress_calls_soft_assign_once_per_call(self, calls):
+        net = init_network(5, 4, hidden_dims=(6,), seed=1)
+        compress(random_tokens(), net)
+        compress(random_tokens(seed=1), net)
+        assert calls == [True] * 2
+
+
 class TestUsageEntropy:
     def test_uniform_is_log_a(self):
         r = np.full((8, 30), 1.0 / 8)
@@ -351,12 +381,12 @@ class TestAnchorLearning:
         untrained = init_network(16, 8, cfg.hidden_dims, seed=cfg.seed)
         before = quantization_error(
             data.tokens,
-            anchor_means(compress(data.tokens, untrained).assignments, data.tokens),
+            anchor_means(compress(data.tokens, untrained)),
         )
         net, _ = train(data.tokens, cfg)
         after = quantization_error(
             data.tokens,
-            anchor_means(compress(data.tokens, net).assignments, data.tokens),
+            anchor_means(compress(data.tokens, net)),
         )
         assert after < before / 3
 
@@ -366,6 +396,21 @@ class TestAnchorMeans:
         tokens = random_tokens(m=12, c=3, seed=10)
         net = init_network(3, 4, hidden_dims=(6,), seed=1)
         result = compress(tokens, net)
-        means = anchor_means(result.assignments, tokens)
+        means = anchor_means(result)
         mass = result.assignments.sum(axis=1)
         np.testing.assert_allclose(means, result.anchors / mass[:, None], rtol=1e-12)
+
+    def test_means_divide_the_pooled_anchors_bit_for_bit(self):
+        """An anchor whose logits sit 1000 below the rest gets no mass and
+        is dropped; the others are the pooled rows over their mass."""
+        tokens = random_tokens(m=12, c=3, seed=10)
+        net = init_network(3, 4, hidden_dims=(6,), seed=1)
+        last = net.layers[-1]
+        net = AssignmentNetwork((net.layers[0], Layer(last.weight, last.bias - [1000, 0, 0, 0])))
+        result = compress(tokens, net)
+        r = result.assignments
+        mass = r.sum(axis=1)
+        ok = mass >= DEGENERATE_MASS
+        assert ok.tolist() == [False, True, True, True]
+        want = pool_anchors(r, tokens)[ok] / mass[ok, None]
+        np.testing.assert_array_equal(anchor_means(result), want)

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anchorkit.assignnet import init_network, load_checkpoint, save_checkpoint
+from anchorkit.assignnet import (
+    AssignmentNetwork, Layer, init_network, load_checkpoint, save_checkpoint,
+)
 from anchorkit.attention import align, unalign
 from anchorkit.core import (
+    AnchorKitError,
     BadMagicError,
     ConfigError,
     DimensionError,
@@ -18,6 +21,7 @@ from anchorkit.core import (
     TokenMatrix,
     TruncatedPayloadError,
     _encode_array,
+    _row_tiles,
     flatten,
     load_array,
     load_latent,
@@ -221,6 +225,50 @@ class TestVlt1Format:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="non-finite"):
             loader(path)
+
+
+# arrays that the VLT1 reader rejects: bad ranks, a zero extent, and values
+# that are not finite once stored as float32
+UNREADABLE_ARRAYS = {
+    "rank-0": np.array(1.0),
+    "rank-9": np.ones((1,) * 9),
+    "zero-extent": np.zeros((2, 0)),
+    "nan": np.array([1.0, np.nan]),
+    "inf": np.array([-np.inf, 1.0]),
+    "float32-overflow": np.array([1.0, 1e39]),
+}
+
+
+class TestWritersRefuseWhatTheReaderRejects:
+    @pytest.mark.parametrize("arr", UNREADABLE_ARRAYS.values(), ids=UNREADABLE_ARRAYS.keys())
+    def test_save_array_raises_and_writes_nothing(self, tmp_path, arr):
+        path = tmp_path / "bad.vlt"
+        with pytest.raises(AnchorKitError, match="bad.vlt"):
+            save_array(path, arr)
+        assert not path.exists()
+
+    def test_save_checkpoint_raises_and_writes_nothing(self, tmp_path):
+        net = init_network(3, 2, hidden_dims=(4,), seed=0)
+        last = net.layers[-1]
+        net = AssignmentNetwork((net.layers[0], Layer(last.weight, np.full_like(last.bias, 1e39))))
+        path = tmp_path / "net.ckpt"
+        with pytest.raises(AnchorKitError, match="net.ckpt"):
+            save_checkpoint(path, net)
+        assert not path.exists()
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        arr = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max], dtype=np.float64)
+        save_array(tmp_path / "max.vlt", arr)
+        np.testing.assert_array_equal(load_array(tmp_path / "max.vlt"), arr)
+
+
+class TestRowTiles:
+    """One rule sizes the objective's and the attention kernel's row tiles."""
+
+    @pytest.mark.parametrize("budget,rows", [(8 * 48 * 4, 4), (8 * 48 * 5 - 1, 4), (1, 1),
+                                             (2**40, 6)])
+    def test_rows_fit_the_budget_and_every_tile_starts_once(self, budget, rows):
+        assert _row_tiles((6, 48), budget) == (rows, range(0, 6, rows))
 
 
 # little-endian float32 signalling NaN, quiet NaN, +inf and -inf

@@ -21,7 +21,6 @@ from anchorkit.objective import (
     SIM_EPSILON,
     VARIANCE_FLOOR,
     AnchorConfig,
-    _column_softmax,
     _top_k_mask,
     anchor_moments,
     contrastive_grad,
@@ -612,7 +611,7 @@ def assert_terms_equal_references(case):
     r = reference_soft_assign(logits)
     np.testing.assert_array_equal(soft_assign(logits), r)
     buf = logits.copy()
-    assert _column_softmax(buf, buf) is buf
+    assert soft_assign(buf, out=buf) is buf
     np.testing.assert_array_equal(buf, r)
     for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
         assert_same_bits(got, want)
@@ -643,6 +642,16 @@ class TestInPlaceObjective:
         np.testing.assert_array_equal(r_seen, r)
         np.testing.assert_array_equal(z.data, data)
 
+    @pytest.mark.parametrize("case", ["random", "ties", "huge"])
+    def test_soft_assign_into_its_input_equals_a_fresh_output(self, case):
+        logits, _ = logit_cases()[case]
+        seen = logits.copy()
+        fresh = soft_assign(seen)
+        np.testing.assert_array_equal(seen, logits)
+        buf = logits.copy()
+        assert soft_assign(buf, out=buf) is buf
+        np.testing.assert_array_equal(buf, fresh)
+
     @pytest.mark.parametrize("case", ["random", "huge"])
     def test_terms_take_fortran_ordered_assignments(self, case):
         """A column-major view gives the same bits as its C-ordered copy
@@ -671,12 +680,12 @@ class TestInPlaceObjective:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
-    def test_column_softmax_of_any_finite_logits(self, logits):
+    def test_soft_assign_of_any_finite_logits(self, logits):
         with np.errstate(over="ignore"):  # x - max overflows to -inf across +-1e308
             want = reference_soft_assign(logits)
             np.testing.assert_array_equal(soft_assign(logits), want)
             buf = logits.copy()
-            np.testing.assert_array_equal(_column_softmax(buf, buf), want)
+            np.testing.assert_array_equal(soft_assign(buf, out=buf), want)
         np.testing.assert_allclose(want.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
@@ -693,7 +702,7 @@ class TestRowTiles:
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     @pytest.mark.parametrize("quantised", [False, True])
     def test_total_loss_equals_two_pass_reference(self, rows_per_tile, mode, quantised):
-        assert objective._row_tiles((6, 48))[0] == rows_per_tile
+        assert objective._row_tiles((6, 48), objective._TILE_BYTES)[0] == rows_per_tile
         assert_total_loss_equals_two_pass_reference(mode, quantised)
 
     @pytest.mark.parametrize("case", ["random", "ties", "huge"])
