@@ -10,20 +10,25 @@ benchmarks can report measured time against predicted work. ``align``
 and ``unalign`` regroup a latent per spatial position for cross-frame
 attention through ``core.flatten``/``unflatten``.
 
-The core walks the queries in row tiles whose scores fit in one reused
-buffer of about ``_TILE_BYTES``, so a call holds one score tile plus
-O(M*d) memory for its projections and output, never the M x N score
-matrix. The projections are written into buffers one column wider than
-d, and that column folds the softmax into the two matrix products: the
-queries carry the Cauchy-Schwarz bound |q_i| max_j |k_j| on their row's
-scores and the keys -1, so the score product yields each score minus a
-bound it cannot exceed; the values carry 1, so the value product also
-yields each row's weight sum. A tile thus costs two products and one
-``np.exp``, with no max, subtract or sum pass. A row whose sum underflows,
-because its bound sat hundreds of units above its largest score, is
-recomputed with the exact row-max shift of ``core._exp_shifted``. Each
-tile is normalised after the value product, which divides M*d entries
-instead of M*N, and its output overwrites its query rows.
+The core walks (query rows x key block) tiles whose scores fit in one
+reused buffer of about ``_TILE_BYTES``, so a call holds one score tile
+plus O(M*d) memory for its projections and output, never the M x N score
+matrix. The projections are written into buffers one column (values: one
+row) wider than d, and that extra line folds the softmax into the two
+matrix products: the queries carry the Cauchy-Schwarz bound
+|q_i| max_j |k_j| on their row's scores and the keys -1, so the score
+product yields each score minus a bound it cannot exceed; the values carry
+1, so the value product also yields each row's weight sum. A tile thus
+costs two products and one ``np.exp``, with no max, subtract or sum pass.
+Because each row's shift is fixed before any key is read, the weight sums
+and mixed values of a row tile's key blocks simply add, with none of the
+rescaling an online softmax needs when its running max moves. A row whose
+sum underflows, because its bound sat hundreds of units above its largest
+score, is recomputed block by block with the exact row-max shift of
+``core._exp_shifted``. Each row tile is normalised after its last key
+block, which divides M*d entries instead of M*N, into the query rows it
+has read, packed d wide, so the returned ``TokenMatrix`` holds the output
+without a copy.
 """
 
 from __future__ import annotations
@@ -36,10 +41,15 @@ import numpy as np
 from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix
 from .core import _anchor_matrix, _exp_shifted, _row_tiles, flatten, seeded_rng, unflatten
 
-# bytes of the one score buffer a call reuses for every row tile: big
-# enough for efficient matrix products (128 rows at 8192 keys), small
-# enough that the exp pass stays in cache, not main memory
+# bytes of the one score buffer a call reuses for every tile: big enough
+# for efficient matrix products (512 rows by 2048 keys), small enough that
+# the exp pass stays in cache, not main memory
 _TILE_BYTES = 8 * 2**20
+
+# keys per score tile; the rows are what the byte budget leaves. Blocking
+# the keys keeps the tiles of full attention tall, so each key block is
+# packed for the matrix products once per 512 query rows, not per 128
+_KEY_BLOCK = 2048
 
 # a row's weight sum below this (or NaN) sends it to the exact path; it is
 # a normal float64, so a sum above it kept its row's mass
@@ -106,15 +116,17 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d)) V, one row tile at a time.
+    """softmax(Q K^T / sqrt(d)) V, one (query rows x key block) tile at a time.
 
-    Takes (rows, d+1) buffers whose first d columns hold the projections
-    and whose last column is free; it fills that column so one product
-    gives each score minus a bound on its row, and the other gives each
-    row's weight sum next to its mixed values. Works in the buffer of
-    ``queries``, so callers pass a fresh projection: its output rows
-    overwrite the query rows they were computed from, and the result is a
-    (rows, d) view of it. Values must have the queries' width.
+    Takes (m, d+1) queries and (n, d+1) keys whose first d columns hold
+    the projections, and (d+1, n) values whose first d rows hold the
+    projected values transposed, so each key block's values are a column
+    slice. The last query and key column and the last value row are free;
+    this fills them so one product gives each score minus a bound on its
+    row, and the other gives each row's weight sum under its mixed values.
+    Works in the buffer of ``queries``, so callers pass a fresh
+    projection; the result is a C-ordered (m, d) view of its leading m*d
+    entries.
     """
     m, n = queries.shape[0], keys.shape[0]
     d = queries.shape[1] - 1
@@ -124,24 +136,56 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
     key_bound = np.linalg.norm(keys[:, :d], axis=1).max()
     np.multiply(np.linalg.norm(queries[:, :d], axis=1), key_bound, out=queries[:, d])
     keys[:, d] = -1.0
-    values[:, d] = 1.0
-    rows, starts = _row_tiles((m, n), _TILE_BYTES)
-    scores = np.empty((rows, n))
-    mixed = np.empty((rows, d + 1))
+    values[d] = 1.0
+    width = min(n, _KEY_BLOCK)
+    blocks = [slice(b, b + width) for b in range(0, n, width)]
+    rows, starts = _row_tiles((m, width), _TILE_BYTES)
+    scores = np.empty((rows, width))
+    sums, part = np.empty((2, d + 1, rows))
+    # the output's m*d entries lead the queries' m*(d+1): a tile's output
+    # rows end where its query rows end, so they overwrite only query rows
+    # already read, and no (m, d) buffer lives next to the score tile
+    out = queries.reshape(-1)[: m * d].reshape(m, d)
     for start in starts:
         tile = queries[start : start + rows]
-        weights, sums = scores[: len(tile)], mixed[: len(tile)]
-        np.exp(np.matmul(tile, keys.T, out=weights), out=weights)
-        np.matmul(weights, values, out=sums)
+        acc = sums[:, : len(tile)]
+        acc.fill(0.0)
+        for block in blocks:
+            weights = scores[: len(tile), : len(keys[block])]
+            np.exp(np.matmul(tile, keys[block].T, out=weights), out=weights)
+            acc += np.matmul(values[:, block], weights.T, out=part[:, : len(tile)])
         # rows whose bound sat so far above their largest score that the
         # weights underflowed: redo them with the exact row-max shift
-        low = np.flatnonzero(~(sums[:, d] >= _TINY_SUM))
+        low = np.flatnonzero(~(acc[d] >= _TINY_SUM))
         if low.size:
-            exact = scores[: low.size]
-            _exp_shifted(np.matmul(tile[low, :d], keys[:, :d].T, out=exact), 1, exact)
-            sums[low] = exact @ values
-        np.divide(sums[:, :d], sums[:, d:], out=tile[:, :d])
-    return queries[:, :d]
+            acc[:, low] = _exact_sums(tile[low, :d], keys[:, :d], values, blocks, scores)
+        np.divide(acc[:d].T, acc[d, :, None], out=out[start : start + len(tile)])
+    return out
+
+
+def _exact_sums(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    blocks: list[slice],
+    scores: np.ndarray,
+) -> np.ndarray:
+    """(d+1, rows) weight sums and mixed values of ``queries`` under their exact row-max shift.
+
+    One pass over the key blocks finds each row's largest score, a second
+    exponentiates the scores shifted by it, so no row needs all its keys'
+    scores at once and ``scores`` only has to hold one tile.
+    """
+    shift = np.full((queries.shape[0], 1), -np.inf)
+    for block in blocks:
+        tile = np.matmul(queries, keys[block].T, out=scores[: len(queries), : len(keys[block])])
+        np.maximum(shift, tile.max(axis=1, keepdims=True), out=shift)
+    sums = np.zeros((values.shape[0], len(queries)))
+    for block in blocks:
+        tile = np.matmul(queries, keys[block].T, out=scores[: len(queries), : len(keys[block])])
+        _exp_shifted(tile, 1, tile, shift)
+        sums += values[:, block] @ tile.T
+    return sums
 
 
 def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) -> TokenMatrix:
@@ -151,12 +195,12 @@ def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) 
             f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
         )
     d = proj.proj_dim
-    widened = []
-    for x, w in ((tokens.data, proj.w_query), (kv, proj.w_key), (kv, proj.w_value)):
-        buf = np.empty((x.shape[0], d + 1))
-        np.matmul(x, w, out=buf[:, :d])
-        widened.append(buf)
-    return TokenMatrix(_attend(*widened))
+    queries, keys = (np.empty((x.shape[0], d + 1)) for x in (tokens.data, kv))
+    np.matmul(tokens.data, proj.w_query, out=queries[:, :d])
+    np.matmul(kv, proj.w_key, out=keys[:, :d])
+    values = np.empty((d + 1, kv.shape[0]))
+    np.matmul(proj.w_value.T, kv.T, out=values[:d])
+    return TokenMatrix._adopt(_attend(queries, keys, values))
 
 
 def full_attention(tokens: TokenMatrix, proj: AttentionProjection) -> TokenMatrix:

@@ -5,7 +5,9 @@ Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
 flattened from. Each holds only its data, an immutable float64 copy that
 ``_as_owned_f64`` checks for finiteness, rank and extents >= 1, so
-neither the numerical modules nor the loaders re-check them.
+neither the numerical modules nor the loaders re-check them; a token
+matrix built from a fresh array of the package's own (an attention
+output, a loaded file) adopts it under the same checks without a copy.
 ``flatten``/``unflatten`` are the one definition of the token layout.
 ``_exp_shifted`` is the one max-shifted exponential behind every exact
 softmax in the package: the objective's column softmax and contrastive
@@ -16,8 +18,8 @@ and attention); ``_anchor_matrix`` is the one check of an anchor set
 handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
-The writers refuse, before opening a file, any record that the decoder
-would reject.
+The writers refuse, before opening a file, any record that the decoder's
+check would reject; only the readers go on to cast the payload.
 """
 
 from __future__ import annotations
@@ -82,9 +84,14 @@ def seeded_rng(*words: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64([int(w) for w in words]))
 
 
-def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """exp(x - max along ``axis``) into ``out``, which may be ``x``; returns the max."""
-    shift = x.max(axis=axis, keepdims=True)
+def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray, shift=None) -> np.ndarray:
+    """exp(x - shift) into ``out``, which may be ``x``; returns the shift.
+
+    ``shift`` defaults to the max along ``axis``; a caller that sees ``x``
+    in blocks passes the max over all of them.
+    """
+    if shift is None:
+        shift = x.max(axis=axis, keepdims=True)
     np.exp(np.subtract(x, shift, out=out), out=out)
     return shift
 
@@ -98,7 +105,11 @@ def _row_tiles(shape: tuple[int, int], budget: int) -> tuple[int, range]:
 
 def _as_owned_f64(data, name: str, ndim: int) -> np.ndarray:
     """A frozen float64 copy of ``data``: finite, rank ``ndim``, every extent >= 1."""
-    arr = np.array(data, dtype=np.float64, order="C")
+    return _frozen(np.array(data, dtype=np.float64, order="C"), name, ndim)
+
+
+def _frozen(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
+    """``arr`` itself, made read-only once it is finite, rank ``ndim``, every extent >= 1."""
     if not np.isfinite(arr).all():
         raise NumericalError(f"{name} contains non-finite entries")
     if arr.ndim != ndim:
@@ -133,6 +144,17 @@ class TokenMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_owned_f64(self.data, "token matrix", 2))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "TokenMatrix":
+        """A token matrix that holds ``arr`` itself, checked and frozen but not copied.
+
+        For a C-ordered float64 array (or a view of a buffer) that nothing
+        else holds.
+        """
+        tokens = object.__new__(cls)
+        object.__setattr__(tokens, "data", _frozen(arr, "token matrix", 2))
+        return tokens
 
     @property
     def num_tokens(self) -> int:
@@ -187,8 +209,11 @@ def _encode_array(arr: np.ndarray) -> bytes:
     return header + payload
 
 
-def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    """One VLT1 record at ``offset`` as (finite array, next offset); bad bytes raise FormatError."""
+def _check_record(buf: bytes, offset: int) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """The VLT1 record at ``offset`` as (shape, flat float32 payload view, next offset).
+
+    Bad bytes, including a non-finite payload value, raise FormatError.
+    """
     if len(buf) < offset + 4 and MAGIC.startswith(buf[offset:]):
         raise TruncatedPayloadError("file ends inside the magic bytes")
     if buf[offset : offset + 4] != MAGIC:
@@ -219,16 +244,21 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     flat = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
     if not np.isfinite(flat).all():  # checked before the cast, which warns on a signalling NaN
         raise FormatError(f"non-finite values in the payload at offset {offset}")
-    arr = flat.reshape(shape).astype(np.float64)
-    return arr, offset + nbytes
+    return shape, flat, offset + nbytes
+
+
+def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
+    """One VLT1 record at ``offset`` as (finite float64 array, next offset)."""
+    shape, flat, end = _check_record(buf, offset)
+    return flat.reshape(shape).astype(np.float64), end
 
 
 def _checked_record(path, arr) -> bytes:
-    """``arr``'s VLT1 record; one that :func:`_decode_array` rejects raises, naming ``path``."""
+    """``arr``'s VLT1 record; one that :func:`_check_record` rejects raises, naming ``path``."""
     with np.errstate(over="ignore"):  # beyond float32's range becomes inf, refused below
         record = _encode_array(np.asarray(arr))
     try:
-        _decode_array(record, 0)
+        _check_record(record, 0)
     except FormatError as exc:
         raise type(exc)(f"cannot write {path}: {exc}") from None
     return record
@@ -256,7 +286,7 @@ def save_tokens(path, tokens: TokenMatrix) -> None:
 
 
 def load_tokens(path) -> TokenMatrix:
-    return TokenMatrix(load_array(path))
+    return TokenMatrix._adopt(load_array(path))
 
 
 def save_latent(path, latent: LatentTensor) -> None:

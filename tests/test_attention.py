@@ -227,6 +227,113 @@ class TestTiling:
         assert peak < 3 * attention._TILE_BYTES
 
 
+class TestKeyBlocks:
+    """Tiles span a block of keys; each block's weight sums and mixed values
+    add into the row tile's accumulator, since every row's shift is fixed
+    before any key is read."""
+
+    M = 7
+
+    @staticmethod
+    def run(mode, tokens, anchors, proj):
+        if mode == "full":
+            return full_attention(TokenMatrix(tokens), proj).data
+        return anchor_attention(TokenMatrix(tokens), anchors, proj).data
+
+    @staticmethod
+    def oracle(mode, tokens, anchors, proj):
+        keys_from = tokens if mode == "full" else anchors
+        return naive_attention(
+            tokens @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
+        )
+
+    @staticmethod
+    def block(monkeypatch, key_block, rows_per_tile):
+        width = min(TestKeyBlocks.M, key_block)
+        monkeypatch.setattr(attention, "_KEY_BLOCK", key_block)
+        monkeypatch.setattr(attention, "_TILE_BYTES", 8 * width * rows_per_tile)
+
+    # 7 keys in both modes: every token (full) or 7 anchors (anchor)
+    @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
+    @pytest.mark.parametrize("key_block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_ragged_key_blocks_match_oracle_and_single_tile(
+        self, monkeypatch, mode, key_block, rows_per_tile
+    ):
+        rng = seeded_rng(19)
+        tokens = rng.standard_normal((self.M, 4))
+        anchors = rng.standard_normal((self.M, 4))
+        proj = init_projection(4, 3, seed=9)
+        single = self.run(mode, tokens, anchors, proj)
+        self.block(monkeypatch, key_block, rows_per_tile)
+        blocked = self.run(mode, tokens, anchors, proj)
+        np.testing.assert_allclose(
+            blocked, self.oracle(mode, tokens, anchors, proj), rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(blocked, single, rtol=1e-9, atol=1e-12)
+
+    # a score buffer of 2 rows x 3 keys holds less than one row of 7 keys
+    @pytest.mark.parametrize("key_block,rows_per_tile", [(3, 2), (2, 1), (5, 1)])
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_fallback_rows_with_a_buffer_shorter_than_one_row(
+        self, monkeypatch, mode, key_block, rows_per_tile
+    ):
+        rng = seeded_rng(17)
+        tokens = rng.standard_normal((self.M, 4))
+        anchors = rng.standard_normal((self.M, 4))
+        if mode == "full":
+            tokens[2] *= 300
+        else:
+            anchors[0] *= 300
+        proj = init_projection(4, 3, seed=8)
+        single = self.run(mode, tokens, anchors, proj)
+        seen = []
+
+        def spy(queries, *args):
+            seen.append(len(queries))
+            return exact(queries, *args)
+
+        exact = attention._exact_sums
+        monkeypatch.setattr(attention, "_exact_sums", spy)
+        self.block(monkeypatch, key_block, rows_per_tile)
+        assert key_block * rows_per_tile < self.M
+        blocked = self.run(mode, tokens, anchors, proj)
+        assert 0 < sum(seen) < self.M
+        np.testing.assert_allclose(
+            blocked, self.oracle(mode, tokens, anchors, proj), rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(blocked, single, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("key_block", [3, attention._KEY_BLOCK])
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_two_calls_are_byte_identical(self, monkeypatch, mode, key_block):
+        rng = seeded_rng(20)
+        tokens = rng.standard_normal((self.M, 4))
+        anchors = rng.standard_normal((self.M, 4))
+        proj = init_projection(4, 3, seed=10)
+        self.block(monkeypatch, key_block, 2)
+        first = self.run(mode, tokens, anchors, proj)
+        second = self.run(mode, tokens, anchors, proj)
+        assert first.tobytes() == second.tobytes()
+
+    # scale 1e3 sends every row through the exact path
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_peak_memory_with_more_keys_than_one_block(self, scale):
+        """M=4096 > _KEY_BLOCK, d=64: one score tile plus linear terms,
+        also when every row is recomputed block by block."""
+        m = 4096
+        assert m > attention._KEY_BLOCK
+        proj = init_projection(64, 64, seed=10)
+        tokens = TokenMatrix(scale * seeded_rng(16).standard_normal((m, 64)))
+        tracemalloc.start()
+        try:
+            full_attention(tokens, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * attention._TILE_BYTES
+
+
 class TestExactFallback:
     """Rows whose weights underflow under the Cauchy-Schwarz shift are
     recomputed with the exact row-max shift; both paths match the oracle
@@ -239,9 +346,9 @@ class TestExactFallback:
         """Number of query rows that went through the exact path."""
         seen = []
 
-        def spy(x, axis, out):
+        def spy(x, *args):
             seen.append(x.shape[0])
-            return exact(x, axis, out)
+            return exact(x, *args)
 
         exact = attention._exp_shifted
         monkeypatch.setattr(attention, "_exp_shifted", spy)

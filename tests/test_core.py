@@ -48,6 +48,18 @@ class TestContainers:
         with pytest.raises(ValueError):
             tm.data[0, 0] = 9.0
 
+    def test_adopted_token_matrix_holds_its_array_frozen(self):
+        arr = np.ones((2, 3))
+        tm = TokenMatrix._adopt(arr)
+        assert tm.data is arr and not arr.flags.writeable
+
+    @pytest.mark.parametrize("arr,error", [(np.array([[1.0, np.nan]]), NumericalError),
+                                           (np.ones((2, 2, 1)), DimensionError),
+                                           (np.ones((0, 3)), DimensionError)])
+    def test_adopted_token_matrix_keeps_the_checks(self, arr, error):
+        with pytest.raises(error):
+            TokenMatrix._adopt(arr)
+
     def test_latent_tensor_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
             LatentTensor(np.zeros((2, 2, 2)))
