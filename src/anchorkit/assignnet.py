@@ -8,8 +8,11 @@ Kingma & Ba (2015): ``BETA1``, ``BETA2`` and ``EPSILON``; only the learning
 rate is a setting.
 
 Parameter updates are functional: ``adam_step`` returns new network and
-state objects rather than mutating. Forward and backward allocate one
-matrix product per layer and run the elementwise steps in its buffer.
+state objects rather than mutating. The forward pass writes each layer's
+matrix product into one array, a fresh one or one the training loop kept
+from its previous step, and runs the bias add and tanh there; the
+backward pass computes tanh' and the propagated delta in the hidden
+activations' own arrays.
 """
 
 from __future__ import annotations
@@ -131,17 +134,19 @@ def _check_tokens(net: AssignmentNetwork, tokens: TokenMatrix) -> None:
         )
 
 
-def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix):
+def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix, out=None):
     """Run the network on all tokens; returns per-layer activations.
 
     ``acts[i]`` is the input to layer ``i`` as a (width, M) matrix;
-    ``acts[-1]`` is the logit output.
+    ``acts[-1]`` is the logit output. Given ``out``, the ``acts[1:]`` of
+    an earlier call on as many tokens, layer ``i`` writes into ``out[i]``
+    and ``acts[i + 1] is out[i]``; otherwise each layer allocates.
     """
     acts = [tokens.data.T]
     x = acts[0]
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        x = layer.weight @ x
+        x = np.matmul(layer.weight, x, out=None if out is None else out[i])
         x += layer.bias[:, None]
         if i < last:
             np.tanh(x, out=x)
@@ -173,17 +178,23 @@ def backward(
 
 
 def _backprop(net: AssignmentNetwork, acts, upstream: np.ndarray) -> GradientBundle:
-    """The backward loop over activations cached by ``_forward_cached``."""
+    """The backward loop over activations cached by ``_forward_cached``.
+
+    It consumes the hidden activations ``acts[1:-1]``: once layer ``i``'s
+    weight gradient is taken, ``acts[i]`` is overwritten with tanh' and
+    then with the delta propagated to layer ``i - 1``. The tokens
+    ``acts[0]`` and the output ``acts[-1]`` are never written.
+    """
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     delta = upstream
     for i in range(len(net.layers) - 1, -1, -1):
         grads.append((delta @ acts[i].T, delta.sum(axis=1)))
         if i > 0:
             # tanh'(pre) = 1 - tanh(pre)^2, and acts[i] stores tanh(pre)
-            slope = np.square(acts[i])
+            slope = np.square(acts[i], out=acts[i])
             np.subtract(1.0, slope, out=slope)
-            delta = net.layers[i].weight.T @ delta
-            delta *= slope
+            slope *= net.layers[i].weight.T @ delta
+            delta = slope
     grads.reverse()
     return tuple(grads)
 

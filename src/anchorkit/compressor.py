@@ -3,10 +3,12 @@
 Training is plain full-batch gradient descent on the anchor objective:
 every step runs the network, softmaxes its logits in their own buffer,
 evaluates the losses on those assignments, backpropagates into the
-network and takes one Adam step. There is no early stopping; a fixed
-step count keeps runs reproducible. Settings that cannot train (a top-k
-larger than the batch, a network of the wrong width) are rejected before
-a network is built or run. Inference is the same forward pass and
+network and takes one Adam step. The network's (width, batch) arrays are
+allocated by the first step and written again by every later one, so a
+step does not fault in fresh pages for them. There is no early stopping;
+a fixed step count keeps runs reproducible. Settings that cannot train
+(a top-k larger than the batch, a network of the wrong width) are
+rejected before a network is built or run. Inference is the same forward pass and
 softmax, then one matrix multiplication. ``anchor_means`` divides the anchors
 ``compress`` pooled by their mass, with the objective's degenerate-anchor rule.
 """
@@ -141,14 +143,16 @@ def train(
     state = assignnet.init_adam(net, cfg.adam)
     rng = seeded_rng(cfg.seed)
     records = []
+    layer_out = None  # the (width, batch) arrays every step's forward writes into
     for step in range(1, cfg.steps + 1):
         if cfg.subsample is None:
             batch = tokens
         else:
             idx = np.sort(rng.choice(tokens.num_tokens, size=cfg.subsample, replace=False))
-            batch = TokenMatrix(tokens.data[idx])
-        # one forward pass per step; backprop reuses its activations, the softmax its logits
-        acts = assignnet._forward_cached(net, batch)
+            batch = TokenMatrix._adopt(tokens.data[idx])
+        # one forward pass per step, into the first step's arrays; the softmax
+        # reuses the logits' buffer, backprop the hidden activations'
+        acts = assignnet._forward_cached(net, batch, out=layer_out)
         try:
             assignments = soft_assign(acts[-1], out=acts[-1])
         except NumericalError:
@@ -158,7 +162,7 @@ def train(
             if not np.isfinite(term):
                 raise TrainingDivergedError(step, name)
         grads = assignnet._backprop(net, acts, value.grad_logits)
-        del acts  # so one step's activations are freed before the next forward
+        layer_out = acts[1:]
         try:
             net, state = assignnet.adam_step(net, grads, state)
         except NumericalError:

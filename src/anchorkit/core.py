@@ -5,9 +5,10 @@ Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
 flattened from. Each holds only its data, an immutable float64 copy that
 ``_as_owned_f64`` checks for finiteness, rank and extents >= 1, so
-neither the numerical modules nor the loaders re-check them; a token
-matrix built from a fresh array of the package's own (an attention
-output, a loaded file) adopts it under the same checks without a copy.
+neither the numerical modules nor the loaders re-check them. Either
+container, built from a fresh array of the package's own (an attention
+output, a loaded file, a training batch), adopts it under the same checks
+without a copy, through ``_adopted``.
 ``flatten``/``unflatten`` are the one definition of the token layout.
 ``_exp_shifted`` is the one max-shifted exponential behind every exact
 softmax in the package: the objective's column softmax and contrastive
@@ -108,6 +109,17 @@ def _as_owned_f64(data, name: str, ndim: int) -> np.ndarray:
     return _frozen(np.array(data, dtype=np.float64, order="C"), name, ndim)
 
 
+def _adopted(cls, arr: np.ndarray, name: str, ndim: int):
+    """A ``cls`` container that holds ``arr`` itself, checked and frozen but not copied.
+
+    For a C-ordered float64 array (or a view of a buffer) that nothing
+    else holds.
+    """
+    held = object.__new__(cls)
+    object.__setattr__(held, "data", _frozen(arr, name, ndim))
+    return held
+
+
 def _frozen(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
     """``arr`` itself, made read-only once it is finite, rank ``ndim``, every extent >= 1."""
     if not np.isfinite(arr).all():
@@ -147,14 +159,7 @@ class TokenMatrix:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "TokenMatrix":
-        """A token matrix that holds ``arr`` itself, checked and frozen but not copied.
-
-        For a C-ordered float64 array (or a view of a buffer) that nothing
-        else holds.
-        """
-        tokens = object.__new__(cls)
-        object.__setattr__(tokens, "data", _frozen(arr, "token matrix", 2))
-        return tokens
+        return _adopted(cls, arr, "token matrix", 2)
 
     @property
     def num_tokens(self) -> int:
@@ -173,6 +178,10 @@ class LatentTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_owned_f64(self.data, "latent tensor", 4))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "LatentTensor":
+        return _adopted(cls, arr, "latent tensor", 4)
 
 
 def flatten(latent: LatentTensor) -> TokenMatrix:
@@ -294,4 +303,4 @@ def save_latent(path, latent: LatentTensor) -> None:
 
 
 def load_latent(path) -> LatentTensor:
-    return LatentTensor(load_array(path))
+    return LatentTensor._adopt(load_array(path))

@@ -168,6 +168,29 @@ class TestInPlaceLayers:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 12)])
+    def test_forward_writes_into_the_buffers_it_is_given(self, hidden):
+        rng = seeded_rng(34)
+        net = init_network(5, 7, hidden_dims=hidden, seed=35)
+        tokens = TokenMatrix(rng.standard_normal((40, 5)))
+        bufs = [np.full((w, 40), np.nan) for w in (*hidden, 7)]
+        acts = _forward_cached(net, tokens, out=bufs)
+        assert len(acts) == len(bufs) + 1
+        for got, buf in zip(acts[1:], bufs):
+            assert got is buf
+        for got, want in zip(acts, _forward_cached(net, tokens)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_backprop_writes_only_the_hidden_activations(self):
+        rng = seeded_rng(36)
+        net = init_network(4, 6, hidden_dims=(8, 8), seed=37)
+        tokens = TokenMatrix(rng.standard_normal((30, 4)))
+        acts = _forward_cached(net, tokens)
+        kept = [a.copy() for a in acts]
+        _backprop(net, acts, rng.standard_normal((6, 30)))
+        np.testing.assert_array_equal(acts[0], kept[0])
+        np.testing.assert_array_equal(acts[-1], kept[-1])
+
     def test_forward_and_backward_leave_inputs_unchanged(self):
         rng = seeded_rng(32)
         net = init_network(4, 6, hidden_dims=(8, 8), seed=33)

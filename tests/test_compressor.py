@@ -57,27 +57,57 @@ class TestTrainContract:
             np.testing.assert_array_equal(la.bias, lb.bias)
         assert report_a == report_b
 
+    @pytest.mark.parametrize("subsample", [None, 25])
     @pytest.mark.parametrize("mode", ["categorical", "gaussian"])
-    def test_cached_backprop_equals_public_forward_and_backward(self, mode):
-        """train runs the network forward once per step and backpropagates
-        through those activations; the result is bit-identical to calling
-        the public forward, total_loss, backward and adam_step in turn."""
+    def test_cached_backprop_equals_public_forward_and_backward(self, mode, subsample):
+        """train runs the network forward once per step, into the first
+        step's arrays, and backpropagates through those activations; the
+        result is bit-identical to calling the public forward, total_loss,
+        backward and adam_step in turn on the same batches."""
         tokens = random_tokens(m=40, seed=6)
         cfg = TrainConfig(steps=3, log_every=1, seed=2, hidden_dims=(8, 6),
-                          objective=small_objective(kl_weight=0.2, prior_mode=mode))
+                          objective=small_objective(kl_weight=0.2, prior_mode=mode),
+                          subsample=subsample)
         net, report = train(tokens, cfg)
 
         expected = init_network(tokens.num_channels, 4, (8, 6), seed=2)
         state = assignnet.init_adam(expected, cfg.adam)
+        rng = seeded_rng(2)
         for step in range(1, 4):
-            r = soft_assign(assignnet.forward(expected, tokens))
-            value = total_loss(r, tokens, cfg.objective)
-            grads = assignnet.backward(expected, tokens, value.grad_logits)
+            batch = tokens
+            if subsample is not None:
+                idx = np.sort(rng.choice(tokens.num_tokens, size=subsample, replace=False))
+                batch = TokenMatrix(tokens.data[idx])
+            r = soft_assign(assignnet.forward(expected, batch))
+            value = total_loss(r, batch, cfg.objective)
+            grads = assignnet.backward(expected, batch, value.grad_logits)
             expected, state = assignnet.adam_step(expected, grads, state)
             assert report.records[step - 1].total == value.total
         for got, want in zip(net.layers, expected.layers):
             np.testing.assert_array_equal(got.weight, want.weight)
             np.testing.assert_array_equal(got.bias, want.bias)
+
+    @pytest.mark.parametrize("subsample", [None, 20])
+    def test_steps_reuse_the_first_steps_layer_arrays(self, monkeypatch, subsample):
+        """Every step's forward pass writes into the arrays the first one
+        allocated, so a step does not fault in fresh pages."""
+        seen = []
+        forward_cached = assignnet._forward_cached
+
+        def spy(net, tokens, out=None):
+            acts = forward_cached(net, tokens, out=out)
+            seen.append(acts[1:])
+            return acts
+
+        monkeypatch.setattr(assignnet, "_forward_cached", spy)
+        cfg = TrainConfig(steps=4, log_every=2, seed=4, objective=small_objective(),
+                          hidden_dims=(8, 6), subsample=subsample)
+        train(random_tokens(m=32), cfg)
+        assert len(seen) == 4
+        for later in seen[1:]:
+            assert len(later) == 3
+            for got, first in zip(later, seen[0]):
+                assert np.shares_memory(got, first)
 
     @pytest.mark.parametrize(
         "steps,log_every", [(1, 1), (5, 2), (10, 3), (10, 10), (7, 50)]

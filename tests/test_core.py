@@ -1,5 +1,7 @@
 """Container invariants, flatten/unflatten arithmetic, and the VLT1 format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -53,12 +55,24 @@ class TestContainers:
         tm = TokenMatrix._adopt(arr)
         assert tm.data is arr and not arr.flags.writeable
 
+    def test_adopted_latent_tensor_holds_its_array_frozen(self):
+        arr = np.ones((2, 3, 1, 2))
+        lat = LatentTensor._adopt(arr)
+        assert type(lat) is LatentTensor and lat.data is arr and not arr.flags.writeable
+
     @pytest.mark.parametrize("arr,error", [(np.array([[1.0, np.nan]]), NumericalError),
                                            (np.ones((2, 2, 1)), DimensionError),
                                            (np.ones((0, 3)), DimensionError)])
     def test_adopted_token_matrix_keeps_the_checks(self, arr, error):
         with pytest.raises(error):
             TokenMatrix._adopt(arr)
+
+    @pytest.mark.parametrize("arr,error", [(np.full((1, 1, 1, 2), np.inf), NumericalError),
+                                           (np.ones((2, 2)), DimensionError),
+                                           (np.ones((1, 0, 2, 2)), DimensionError)])
+    def test_adopted_latent_tensor_keeps_the_checks(self, arr, error):
+        with pytest.raises(error):
+            LatentTensor._adopt(arr)
 
     def test_latent_tensor_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
@@ -125,6 +139,24 @@ class TestFlatten:
         np.testing.assert_array_equal(unalign(aligned, h, w).data, x.data)
         expected = [[x.data[f, :, p // w, p % w] for f in range(l)] for p in range(h * w)]
         np.testing.assert_array_equal(aligned, expected)
+
+    def test_load_latent_peaks_like_load_tokens(self, tmp_path):
+        """Both loaders hold the array that ``load_array`` decodes, without
+        a further copy: the latent file's traced peak is within 10 % of the
+        same values read as a token matrix."""
+        x = seeded_rng(12).standard_normal((8, 64, 16, 16))
+        save_latent(tmp_path / "x.vlt", LatentTensor(x))
+        save_tokens(tmp_path / "t.vlt", TokenMatrix(x.reshape(-1, 64)))
+        peaks = {}
+        for loader, name in ((load_latent, "x.vlt"), (load_tokens, "t.vlt")):
+            tracemalloc.start()
+            try:
+                loaded = loader(tmp_path / name)
+                peaks[loader] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert loaded.data.size == x.size
+        assert peaks[load_latent] <= 1.1 * peaks[load_tokens]
 
     def test_unflatten_shape_mismatch_names_counts(self):
         tokens = TokenMatrix(np.zeros((5, 2)))
