@@ -2,7 +2,8 @@
 
 Training is plain full-batch gradient descent on the anchor objective:
 every step runs the network, softmaxes its logits in their own buffer,
-evaluates the losses on those assignments, backpropagates into the
+evaluates the losses on those assignments in one (n_anchors, batch)
+gradient buffer (two with the Gaussian prior), backpropagates into the
 network and takes one Adam step. The network's (width, batch) arrays are
 allocated by the first step and written again by every later one, so a
 step does not fault in fresh pages for them. There is no early stopping;

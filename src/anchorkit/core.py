@@ -191,7 +191,11 @@ def flatten(latent: LatentTensor) -> TokenMatrix:
     ``f``, grid position ``(y, x)``. Exact inverse of :func:`unflatten`.
     """
     c = latent.data.shape[1]
-    return TokenMatrix(latent.data.transpose(0, 2, 3, 1).reshape(-1, c))
+    data = latent.data.transpose(0, 2, 3, 1).reshape(-1, c)
+    # with one channel or a 1x1 grid the reshape is a view of the latent's buffer
+    if np.shares_memory(data, latent.data):
+        data = data.copy()
+    return TokenMatrix._adopt(data)
 
 
 def unflatten(tokens: TokenMatrix, frames: int, height: int, width: int) -> LatentTensor:

@@ -14,20 +14,22 @@ Every loss term takes the assignments, never the logits: its arguments
 are ``(assignments, tokens[, cfg])``, and a term that needs the pooled
 anchors pools them itself. Each term has one ``*_value_and_grad``
 function that shares its work between the value and the gradient;
-``total_loss`` calls each once per training step. ``contrastive_loss``,
-``contrastive_grad``, ``kl_uniform`` and ``kl_uniform_grad`` return one
-half of such a call. ``total_loss`` runs the regularizer first, so its
-scratch is freed before the contrastive term, which works in one
-(n_anchors, M) buffer next to the regularizer's gradient: at most two
-such buffers beyond the assignments are alive at once. The matrix
-products fill whole buffers; the elementwise passes between them, and
-the softmax backward, walk the anchors in ``core._row_tiles`` of about
+``total_loss`` runs each term's shared pass once per training step.
+``contrastive_loss``, ``contrastive_grad``, ``kl_uniform`` and
+``kl_uniform_grad`` return one half of such a call. With the categorical
+prior ``total_loss`` holds one (n_anchors, M) gradient buffer beyond the
+assignments: the KL term's value sweep, the contrastive term and the KL
+gradient's sweep all work in it. The Gaussian prior keeps a second one,
+its own gradient. The matrix products fill whole buffers; the
+elementwise passes between them, the top-k partition and the softmax
+backward walk the anchors in ``core._row_tiles`` of about
 ``_TILE_BYTES``, so a tile stays in cache from one pass to the next.
 Every result is bit-identical to whole-matrix passes: each reduction
 runs along a row, except the softmax backward's column sums, which carry
 their running sums from tile to tile in the row order of numpy's own
-axis-0 sum. No public function writes its arguments, except an ``out``
-array handed to ``soft_assign``.
+axis-0 sum, and the KL value, one sum over the whole buffer. No public
+function writes its arguments, except an ``out`` array handed to
+``soft_assign``.
 
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
@@ -129,19 +131,16 @@ def kl_uniform_value_and_grad(assignments: np.ndarray) -> tuple[float, np.ndarra
     logit gradient, exact through the column softmax.
 
     Per token: sum_a r * log(r * A), with 0 * log 0 = 0, summed over all
-    tokens.
+    tokens. Runs :func:`total_loss`' two KL sweeps at weight 1, adding
+    into negative zeros, the additive identity, so every entry keeps the
+    bits of its term.
     """
     r = np.asarray(assignments, dtype=np.float64)
-    # flat indices of the entries that are not > 0 (zeros, and NaN in bad input)
-    dead = np.flatnonzero(~(r > 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.multiply(r, r.shape[0], order="C")  # ravel() is a view
-        np.log(log_ratio, out=log_ratio)
-    log_ratio.ravel()[dead] = 0.0
-    value = float(np.multiply(r, log_ratio).sum())
-    log_ratio += 1.0  # d(value)/dr: log(r * A) + 1 where r > 0, else 0
-    log_ratio.ravel()[dead] = 0.0
-    return value, _softmax_backward(r, log_ratio)
+    grad = np.empty(r.shape)
+    value, column_sums = _kl_value_and_column_sums(r, grad)
+    grad.fill(-0.0)
+    _add_kl_grad(r, column_sums, 1.0, grad)
+    return value, grad
 
 
 def kl_uniform(assignments: np.ndarray) -> float:
@@ -152,6 +151,64 @@ def kl_uniform(assignments: np.ndarray) -> float:
 def kl_uniform_grad(assignments: np.ndarray) -> np.ndarray:
     """The gradient of :func:`kl_uniform_value_and_grad`."""
     return kl_uniform_value_and_grad(assignments)[1]
+
+
+def _kl_dvalue(r: np.ndarray, n_anchors: int, log_ratio: np.ndarray, out: np.ndarray,
+               dead: np.ndarray) -> None:
+    """For a row tile ``r`` of the assignments: log(r * A) into ``log_ratio``
+    and d(value)/dr, log(r * A) + 1, into ``out`` (which may be
+    ``log_ratio``), both 0 at the entries that are not > 0 (zeros, and NaN
+    in bad input), which the boolean ``dead`` marks."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(np.multiply(r, n_anchors, out=log_ratio), out=log_ratio)
+    np.logical_not(np.greater(r, 0.0, out=dead), out=dead)
+    log_ratio[dead] = 0.0
+    np.add(log_ratio, 1.0, out=out)
+    out[dead] = 0.0
+
+
+def _kl_value_and_column_sums(r: np.ndarray, grad: np.ndarray) -> tuple[float, np.ndarray]:
+    """The KL value of float64 ``r``, and the column sums of r * d(value)/dr
+    that its softmax backward subtracts; ``grad`` is the scratch.
+
+    log(r * A) fills ``grad`` one row tile at a time, and each tile's
+    products join the column sums in :func:`_carried_column_sums`' order.
+    The value is then one pairwise sum of r * log(r * A) over the whole
+    array, as a whole-array pass gives.
+    """
+    rows, starts = _row_tiles(r.shape, _TILE_BYTES)
+    tile, dead = np.empty((rows, r.shape[1])), np.empty((rows, r.shape[1]), dtype=bool)
+    column_sums = None
+    for start in starts:
+        t = slice(start, start + rows)
+        log_ratio = grad[t]
+        u = tile[: len(log_ratio)]
+        _kl_dvalue(r[t], len(r), log_ratio, u, dead[: len(log_ratio)])
+        column_sums = _carried_column_sums(np.multiply(r[t], u, out=u), column_sums)
+    value = float(np.multiply(r, grad, out=grad).sum())
+    return value, column_sums
+
+
+def _add_kl_grad(r: np.ndarray, column_sums: np.ndarray, weight: float,
+                 grad: np.ndarray) -> None:
+    """Add ``weight`` times the KL logit gradient of float64 ``r`` into
+    ``grad``, given :func:`_kl_value_and_column_sums`' column sums.
+
+    Each row tile recomputes log(r * A) + 1 and runs the softmax backward
+    of :func:`_softmax_backward` on it, so the gradient needs no array of
+    its own beyond one tile.
+    """
+    rows, starts = _row_tiles(r.shape, _TILE_BYTES)
+    tile, dead = np.empty((rows, r.shape[1])), np.empty((rows, r.shape[1]), dtype=bool)
+    for start in starts:
+        t = slice(start, start + rows)
+        g = grad[t]
+        u = tile[: len(g)]
+        _kl_dvalue(r[t], len(r), u, u, dead[: len(g)])
+        u -= column_sums
+        u *= r[t]
+        u *= weight
+        g += u
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -174,7 +231,12 @@ def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
     m = r.shape[1]
     if k > m:
         raise ConfigError(f"top_k={k} exceeds token count {m}")
-    kth = np.partition(r, m - k, axis=1)[:, m - k, None]
+    # each row's k-th largest value, partitioned one row tile at a time
+    kth = np.empty((len(r), 1))
+    rows, starts = _row_tiles(r.shape, _TILE_BYTES)
+    for start in starts:
+        t = slice(start, start + rows)
+        kth[t] = np.partition(r[t], m - k, axis=1)[:, m - k, None]
     mask = r >= kth
     # a row with more than k entries at or above its k-th largest value has
     # ties at that value; the surplus ties drop from the highest token index
@@ -207,12 +269,20 @@ def contrastive_value_and_grad(
     similarities and their scaled exponentials) and fills its rows of the
     per-anchor vectors, so a tile's passes stay in cache.
     """
+    r = np.asarray(assignments, dtype=np.float64)
+    return _contrastive(r, tokens, cfg, np.empty(r.shape))
+
+
+def _contrastive(r: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig,
+                 work: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`contrastive_value_and_grad` of float64 ``r`` in the C-ordered
+    (n_anchors, M) buffer ``work``, which ends up holding the gradient."""
     z = tokens.data
-    anchors = pool_anchors(assignments, tokens)  # also checks the shapes
-    mask = _top_k_mask(assignments, cfg.top_k)
+    anchors = pool_anchors(r, tokens)  # also checks the shapes
+    mask = _top_k_mask(r, cfg.top_k)
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
-    work = anchors @ z.T
+    np.matmul(anchors, z.T, out=work)
     rows, starts = _row_tiles(work.shape, _TILE_BYTES)
     denom, sims, scaled = (np.empty((rows, work.shape[1])) for _ in range(3))
     positives, lse, beta = (np.empty(len(work)) for _ in range(3))
@@ -244,7 +314,7 @@ def contrastive_value_and_grad(
     safe_norms = np.maximum(anchor_norms, 1e-300)
     d_anchors -= (beta / safe_norms)[:, None] * anchors
     np.matmul(d_anchors, z.T, out=work)
-    return value, _softmax_backward(assignments, work)
+    return value, _softmax_backward(r, work)
 
 
 def contrastive_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> float:
@@ -262,27 +332,36 @@ def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.
     """Chain dL/dR through the column softmax to dL/dlogits, in ``d_assignments``' buffer.
 
     The column sums of r * dL/dR are taken one row tile of products at a
-    time, with the sums of the rows before a tile added into its first
-    row. numpy's axis-0 sum adds the rows of a C-ordered array one after
-    another, so these sums equal those over the whole array. (A single
-    column is summed pairwise instead, but it needs 65,536 anchors to fill
-    a second tile.)
+    time, by :func:`_carried_column_sums`.
     """
     r = np.asarray(assignments, dtype=np.float64)
     d = d_assignments
     rows, starts = _row_tiles(d.shape, _TILE_BYTES)
     tile = np.empty((rows, d.shape[1]))
+    inner = None
     for start in starts:
         t = slice(start, start + rows)
-        products = np.multiply(r[t], d[t], out=tile[: len(d[t])])
-        if start:
-            products[0] += inner
-        inner = products.sum(axis=0)
+        inner = _carried_column_sums(np.multiply(r[t], d[t], out=tile[: len(d[t])]), inner)
     for start in starts:
         t = slice(start, start + rows)
         d[t] -= inner
         d[t] *= r[t]
     return d
+
+
+def _carried_column_sums(products: np.ndarray, sums: Optional[np.ndarray]) -> np.ndarray:
+    """Column sums of the rows so far: ``sums``, those of the row tiles
+    before ``products`` (None for the first), plus ``products``' rows.
+
+    ``sums`` is added into the first row of ``products``, which is
+    overwritten. numpy's axis-0 sum adds the rows of a C-ordered array one
+    after another, so tile by tile these sums equal those over the whole
+    array. (A single column is summed pairwise instead, but it needs
+    65,536 anchors to fill a second tile.)
+    """
+    if sums is not None:
+        products[0] += sums
+    return products.sum(axis=0)
 
 
 def gaussian_kl_closed_form(mean: np.ndarray, variance: np.ndarray) -> float:
@@ -389,18 +468,32 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
     picks the regularizer: categorical-to-uniform or Gaussian moment
     matching. At ``kl_weight = 0`` no regularizer is evaluated and
     ``regularizer`` is 0.0.
+
+    One (n_anchors, M) buffer, ``grad``, carries the step. With the
+    categorical prior, a first row-tile sweep writes log(r * A) into it
+    and takes the KL value and the column sums of its softmax backward;
+    the contrastive term then works in ``grad`` and leaves its gradient
+    there; a second sweep recomputes log(r * A) tile by tile and adds the
+    weighted KL gradient into it. That recompute is one log pass per step
+    more than the minimum, paid so the KL gradient needs no array of its
+    own. The Gaussian prior's three products stay whole for their bits,
+    so it keeps its own gradient: taken before ``grad`` exists, so its
+    scratch is freed first, and added into ``grad`` at the end. Each
+    entry is the same sum of the weighted regularizer gradient and the
+    contrastive one as adding the two whole arrays.
     """
-    reg, reg_grad = 0.0, None
-    if cfg.kl_weight != 0.0:
-        if cfg.prior_mode == "categorical":
-            reg, reg_grad = kl_uniform_value_and_grad(assignments)
-        else:
-            reg, reg_grad = gaussian_prior_value_and_grad(assignments, tokens)
-        reg_grad *= cfg.kl_weight
-    # the regularizer first, so its scratch is freed before the contrastive term's
-    contrast, grad = contrastive_value_and_grad(assignments, tokens, cfg)
+    r = np.asarray(assignments, dtype=np.float64)
+    weight = cfg.kl_weight
+    reg, column_sums, reg_grad = 0.0, None, None
+    if weight != 0.0 and cfg.prior_mode == "gaussian":
+        reg, reg_grad = gaussian_prior_value_and_grad(r, tokens)
+        reg_grad *= weight
+    grad = np.empty(r.shape)
+    if weight != 0.0 and cfg.prior_mode == "categorical":
+        reg, column_sums = _kl_value_and_column_sums(r, grad)
+    contrast = _contrastive(r, tokens, cfg, grad)[0]
+    if column_sums is not None:
+        _add_kl_grad(r, column_sums, weight, grad)
     if reg_grad is not None:
-        reg_grad += grad
-        grad = reg_grad
-    total = contrast + cfg.kl_weight * reg
-    return ObjectiveValue(total, contrast, reg, grad, assignments)
+        grad += reg_grad
+    return ObjectiveValue(contrast + weight * reg, contrast, reg, grad, assignments)

@@ -157,8 +157,8 @@ class TestTrainContract:
     @pytest.mark.parametrize("mode", ["categorical", "gaussian"])
     def test_one_step_traced_peak_below_four_and_a_quarter_assignment_matrices(self, mode):
         """At A=512, M=4096, hidden (128, 128) a training step softmaxes
-        in the logits' buffer and the objective works in row tiles of one
-        buffer per term, so it peaks near 3.8 assignment matrices (whole-
+        in the logits' buffer and the objective works in row tiles, so it
+        peaks near 3.8 assignment matrices with the Gaussian prior (whole-
         matrix objective passes peaked near 5.7, a fresh assignment array
         near 6.7)."""
         tokens = random_tokens(m=4096, c=16, seed=16)
@@ -172,6 +172,22 @@ class TestTrainContract:
         finally:
             tracemalloc.stop()
         assert peak < 4.25 * 512 * 4096 * 8
+
+    def test_categorical_one_step_traced_peak_below_three_and_a_quarter_assignment_matrices(self):
+        """With the categorical prior the objective holds one gradient
+        buffer, so a step at A=512, M=4096, hidden (128, 128) peaks near
+        2.8 assignment matrices (3.8 with a KL gradient of its own)."""
+        tokens = random_tokens(m=4096, c=16, seed=16)
+        net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
+        cfg = TrainConfig(steps=1, seed=0, hidden_dims=(128, 128),
+                          objective=AnchorConfig(n_anchors=512))
+        tracemalloc.start()
+        try:
+            train(tokens, cfg, net=net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * 512 * 4096 * 8
 
     def test_subsample_contract(self):
         tokens = random_tokens(m=20, c=3, seed=7)

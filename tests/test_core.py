@@ -123,6 +123,31 @@ class TestFlatten:
             again = flatten(back)
             np.testing.assert_array_equal(again.data, tokens.data)
 
+    def test_traced_peak_is_one_result(self):
+        """The reshaped copy is adopted, not copied again: an 8x64x32x32
+        latent flattens into one 4 MiB result plus the adoption check's
+        boolean finiteness mask, an eighth of it (two copies peaked at
+        8.5 MiB, 2.1 results)."""
+        lat = LatentTensor(seeded_rng(13).standard_normal((8, 64, 32, 32)))
+        tracemalloc.start()
+        try:
+            tokens = flatten(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * tokens.data.nbytes
+
+    @pytest.mark.parametrize("shape", [(3, 1, 2, 4), (3, 5, 1, 1)])
+    def test_view_shapes_get_their_own_buffer(self, shape):
+        """With one channel or a 1x1 grid the reshape is a view of the
+        latent, which the token matrix must not share."""
+        lat = LatentTensor(seeded_rng(14).standard_normal(shape))
+        tokens = flatten(lat)
+        assert not np.shares_memory(tokens.data, lat.data)
+        assert tokens.data.flags.c_contiguous and not tokens.data.flags.writeable
+        want = lat.data.transpose(0, 2, 3, 1).reshape(-1, shape[1])
+        np.testing.assert_array_equal(tokens.data, want)
+
     @settings(derandomize=True, max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(shape=st.tuples(*[st.integers(1, 6)] * 4), seed=st.integers(0, 2**32 - 1))

@@ -394,6 +394,7 @@ class TestTotalLoss:
             raise AssertionError("regularizer evaluated at kl_weight = 0")
 
         monkeypatch.setattr(objective, "kl_uniform_value_and_grad", refuse)
+        monkeypatch.setattr(objective, "_kl_value_and_column_sums", refuse)
         monkeypatch.setattr(objective, "gaussian_prior_value_and_grad", refuse)
         rng = seeded_rng(17)
         z = TokenMatrix(rng.standard_normal((5, 3)))
@@ -689,12 +690,25 @@ class TestInPlaceObjective:
         np.testing.assert_allclose(want.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
+def whole_array_top_k_mask(r, k):
+    """The top-k mask from one np.partition of the whole array."""
+    m = r.shape[1]
+    kth = np.partition(r, m - k, axis=1)[:, m - k, None]
+    mask = r >= kth
+    surplus = mask.sum(axis=1) - k
+    for a in np.flatnonzero(surplus):
+        ties = np.flatnonzero(r[a] == kth[a])
+        mask[a, ties[len(ties) - surplus[a]:]] = False
+    return mask
+
+
 class TestRowTiles:
     """The elementwise passes walk the anchors in row tiles. Budgets of 1, 2,
     3 and 5 rows split the 6 anchors into several tiles, the last one
-    ragged, and every result stays bit-identical to the references."""
+    ragged, 6 rows make one tile, and every result stays bit-identical to
+    the references."""
 
-    @pytest.fixture(params=[1, 2, 3, 5])
+    @pytest.fixture(params=[1, 2, 3, 5, 6])
     def rows_per_tile(self, request, monkeypatch):
         monkeypatch.setattr(objective, "_TILE_BYTES", 8 * 48 * request.param)
         return request.param
@@ -709,13 +723,52 @@ class TestRowTiles:
     def test_terms_equal_references(self, rows_per_tile, case):
         assert_terms_equal_references(case)
 
+    def test_top_k_mask_equals_whole_array_partition(self, rows_per_tile):
+        """Rows tie at their k-th value, and equal rows sit on both sides of
+        every tile boundary."""
+        rng = seeded_rng(44)
+        row = np.round(rng.uniform(0, 3, 48)) / 3
+        r = np.stack([row, row, np.roll(row, 5), np.roll(row, 5), row, np.roll(row, 11)])
+        for k in range(1, 49):
+            want = whole_array_top_k_mask(r, k)
+            np.testing.assert_array_equal(_top_k_mask(r, k), want)
+            np.testing.assert_array_equal(_top_k_mask(np.asfortranarray(r), k), want)
+
+    @pytest.mark.parametrize("scale", [1.0, 400.0])
+    def test_kl_sweeps_equal_references(self, rows_per_tile, scale):
+        """At scale 400 most responsibilities underflow to 0, the entries
+        both KL sweeps zero."""
+        logits, z = logit_cases()["random"]
+        logits = scale * logits
+        r = reference_soft_assign(logits)
+        assert (r == 0).any() == (scale > 1)
+        for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
+            assert_same_bits(got, want)
+        for weight in (0.1, 2.5):
+            cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=weight)
+            out = total_loss(r, z, cfg)
+            total, contrast, reg, grad = two_pass_total_loss(logits, z, cfg)
+            for got, want in ((out.total, total), (out.contrastive, contrast),
+                              (out.regularizer, reg), (out.grad_logits, grad)):
+                assert_same_bits(got, want)
+
+    def test_kl_of_nan_assignments_equals_reference(self, rows_per_tile):
+        """NaN entries count as dead, as in the reference: the value and
+        their columns of the gradient come out NaN, bit for bit."""
+        r = reference_soft_assign(logit_cases()["random"][0])
+        r[[0, 3, 5], [2, 2, 40]] = np.nan
+        got, want = kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)
+        assert np.isnan(got[0]) and np.isnan(got[1][:, [2, 40]]).all()
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     def test_total_loss_traced_peak_below_two_and_a_half_assignment_matrices(self, mode):
-        """At A=512, M=4096 (16-row tiles) the regularizer runs first and
-        its scratch is freed before the contrastive term's one buffer, so
-        the objective holds at most two assignment-sized arrays beyond its
-        input, plus the top-k mask and three tiles (the whole-matrix passes
-        peaked near 4.1)."""
+        """At A=512, M=4096 (16-row tiles) the Gaussian regularizer runs
+        first and its scratch is freed before the gradient buffer is made,
+        so the objective holds at most two assignment-sized arrays beyond
+        its input, plus the top-k mask and a few tiles (the whole-matrix
+        passes peaked near 4.1)."""
         tokens = TokenMatrix(seeded_rng(42).standard_normal((4096, 16)))
         r = soft_assign(seeded_rng(43).standard_normal((512, 4096)))
         tracemalloc.start()
@@ -725,3 +778,18 @@ class TestRowTiles:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * r.nbytes
+
+    def test_categorical_total_loss_traced_peak_below_one_and_a_half_assignment_matrices(self):
+        """With the categorical prior the objective holds one gradient
+        buffer, the top-k mask and a few tiles: the KL sweeps work in the
+        buffer the contrastive term then fills (a KL gradient of its own
+        peaked at 2.27)."""
+        tokens = TokenMatrix(seeded_rng(42).standard_normal((4096, 16)))
+        r = soft_assign(seeded_rng(43).standard_normal((512, 4096)))
+        tracemalloc.start()
+        try:
+            total_loss(r, tokens, AnchorConfig(n_anchors=512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * r.nbytes
