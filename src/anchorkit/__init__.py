@@ -81,7 +81,6 @@ from .ddim import (
 from .objective import (
     AnchorConfig,
     ObjectiveValue,
-    anchor_moments,
     contrastive_grad,
     contrastive_loss,
     contrastive_value_and_grad,

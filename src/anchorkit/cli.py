@@ -17,7 +17,6 @@ produces byte-identical artifact files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -34,6 +33,7 @@ from .core import (
     AnchorKitError,
     ConfigError,
     TokenMatrix,
+    _write_csv,
     load_array,
     load_tokens,
     save_array,
@@ -291,11 +291,8 @@ def cmd_gen(cfg: dict) -> int:
         )
         data = synth.gaussian_mixture(spec)
         save_tokens(f"{prefix}.vlt", data.tokens)
-        with open(f"{prefix}_labels.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["token", "label"])
-            for m, label in enumerate(data.labels):
-                writer.writerow([m, int(label)])
+        _write_csv(f"{prefix}_labels.csv", ["token", "label"],
+                   ([m, int(label)] for m, label in enumerate(data.labels)))
         print(f"wrote {prefix}.vlt ({data.tokens.num_tokens} tokens) and {prefix}_labels.csv")
     else:
         spec = synth.DriftVideoSpec(
@@ -401,10 +398,7 @@ def cmd_bench(cfg: dict) -> int:
             rows.append((mode, m, a, c, d, wall_ns, flops))
             print(f"bench mode={mode} M={m} wall_ns={wall_ns} flops={flops}")
     if cfg["out"]:
-        with open(cfg["out"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mode", "M", "A", "c", "d", "wall_ns", "flops"])
-            writer.writerows(rows)
+        _write_csv(cfg["out"], ["mode", "M", "A", "c", "d", "wall_ns", "flops"], rows)
     try:
         import resource
     except ImportError:  # no resource module off POSIX

@@ -16,7 +16,6 @@ softmax, then one matrix multiplication. ``anchor_means`` divides the anchors
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +29,7 @@ from .core import (
     DimensionError,
     NumericalError,
     TokenMatrix,
+    _write_csv,
     seeded_rng,
 )
 from .objective import AnchorConfig, _anchor_mass, pool_anchors, soft_assign, total_loss
@@ -80,14 +80,11 @@ class TrainReport:
     records: tuple[TrainRecord, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for rec in self.records:
-                writer.writerow(
-                    [rec.step, repr(rec.total), repr(rec.contrastive),
-                     repr(rec.regularizer), repr(rec.entropy)]
-                )
+        _write_csv(path, REPORT_COLUMNS, (
+            [rec.step, repr(rec.total), repr(rec.contrastive),
+             repr(rec.regularizer), repr(rec.entropy)]
+            for rec in self.records
+        ))
 
     @property
     def final(self) -> TrainRecord:
@@ -107,8 +104,7 @@ def anchor_usage_entropy(assignments: np.ndarray) -> float:
     entropy lies in [0, log n_anchors] and is maximal when every anchor
     carries equal mass.
     """
-    r = np.asarray(assignments, dtype=np.float64)
-    usage = r.sum(axis=1) / r.shape[1]
+    usage = _anchor_mass(assignments)[0] / np.shape(assignments)[1]
     mask = usage > 0
     return float(-(usage[mask] * np.log(usage[mask])).sum())
 

@@ -10,6 +10,7 @@ container, built from a fresh array of the package's own (an attention
 output, a loaded file, a training batch), adopts it under the same checks
 without a copy, through ``_adopted``.
 ``flatten``/``unflatten`` are the one definition of the token layout.
+``_write_csv`` is the one writer of every CSV artifact.
 ``_exp_shifted`` is the one max-shifted exponential behind every exact
 softmax in the package: the objective's column softmax and contrastive
 rows, ``attention_weights``, and the attention rows whose folded shift
@@ -25,6 +26,7 @@ check would reject; only the readers go on to cast the payload.
 
 from __future__ import annotations
 
+import csv
 import struct
 from dataclasses import dataclass
 
@@ -83,6 +85,14 @@ def seeded_rng(*words: int) -> np.random.Generator:
     if not words or min(words) < 0:
         raise ConfigError(f"seeds must be one or more integers >= 0, got {words}")
     return np.random.Generator(np.random.PCG64([int(w) for w in words]))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows``, to ``path`` as CSV with CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray, shift=None) -> np.ndarray:

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, save_array, seeded_rng
+from .core import ConfigError, DimensionError, _checked_record, seeded_rng
 
 # linear beta range of DDPM (Ho et al. 2020)
 BETA_START = 1e-4
@@ -215,14 +216,13 @@ def run_trajectory(
 
 
 def save_trajectory(directory, states: list[np.ndarray]) -> None:
-    """Dump a trajectory as numbered VLT1 tensors plus an index manifest."""
-    from pathlib import Path
-
+    """Dump a trajectory as numbered VLT1 tensors plus an index manifest; every
+    record is checked before the directory is made, so a refused state leaves nothing."""
     out = Path(directory)
+    names = [f"state_{i:04d}.vlt" for i in range(len(states))]
+    records = [_checked_record(out / name, np.atleast_1d(np.asarray(state)))
+               for name, state in zip(names, states)]
     out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, state in enumerate(states):
-        name = f"state_{i:04d}.vlt"
-        save_array(out / name, np.atleast_1d(np.asarray(state)))
-        names.append(name)
+    for name, record in zip(names, records):
+        (out / name).write_bytes(record)
     (out / "manifest.txt").write_text("".join(f"{n}\n" for n in names), encoding="utf-8")

@@ -11,10 +11,10 @@ of the tokens. Training balances two forces:
   moment-matching variant for ablations); a zero weight turns it off.
 
 Every loss term takes the assignments, never the logits: its arguments
-are ``(assignments, tokens[, cfg])``, and a term that needs the pooled
-anchors pools them itself. Each term has one ``*_value_and_grad``
-function that shares its work between the value and the gradient;
-``total_loss`` runs each term's shared pass once per training step.
+are ``(assignments, tokens[, cfg])``. Each term has one ``*_value_and_grad``
+function that shares its work between the value and the gradient, and
+pools the anchors itself if it needs them; ``total_loss`` pools them once
+and runs each term's shared pass, its private kernel, once per step.
 ``contrastive_loss``, ``contrastive_grad``, ``kl_uniform`` and
 ``kl_uniform_grad`` return one half of such a call. With the categorical
 prior ``total_loss`` holds one (n_anchors, M) gradient buffer beyond the
@@ -270,15 +270,14 @@ def contrastive_value_and_grad(
     per-anchor vectors, so a tile's passes stay in cache.
     """
     r = np.asarray(assignments, dtype=np.float64)
-    return _contrastive(r, tokens, cfg, np.empty(r.shape))
+    return _contrastive(r, tokens, cfg, np.empty(r.shape), pool_anchors(r, tokens))
 
 
 def _contrastive(r: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig,
-                 work: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`contrastive_value_and_grad` of float64 ``r`` in the C-ordered
-    (n_anchors, M) buffer ``work``, which ends up holding the gradient."""
+                 work: np.ndarray, anchors: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`contrastive_value_and_grad` of float64 ``r`` and its ``anchors`` in
+    the C-ordered (n_anchors, M) buffer ``work``, which ends up holding the gradient."""
     z = tokens.data
-    anchors = pool_anchors(r, tokens)  # also checks the shapes
     mask = _top_k_mask(r, cfg.top_k)
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
@@ -379,16 +378,6 @@ def gaussian_kl_closed_form(mean: np.ndarray, variance: np.ndarray) -> float:
     return float(0.5 * (variance + mean**2 - 1.0 - np.log(variance)).sum())
 
 
-def anchor_moments(assignments: np.ndarray, tokens: TokenMatrix):
-    """Responsibility-weighted mean and variance of the tokens per anchor.
-
-    Returns (means, floored variances, raw variances, mass) where mass is
-    each anchor's total responsibility. Anchors with mass below
-    ``DEGENERATE_MASS`` get mean 0 and variance equal to the floor.
-    """
-    return _moments(np.asarray(assignments, dtype=np.float64), tokens)[:4]
-
-
 def _anchor_mass(assignments: np.ndarray):
     """Mass per anchor, the mask of masses reaching ``DEGENERATE_MASS``, and a safe divisor."""
     mass = np.asarray(assignments, dtype=np.float64).sum(axis=1)
@@ -396,12 +385,15 @@ def _anchor_mass(assignments: np.ndarray):
     return mass, ok, np.where(ok, mass, 1.0)
 
 
-def _moments(r: np.ndarray, tokens: TokenMatrix):
-    """:func:`anchor_moments` of float64 ``r``, then :func:`_anchor_mass`' mask and divisor."""
-    means = pool_anchors(r, tokens)  # also checks the shapes
+def _moments(r: np.ndarray, anchors: np.ndarray, z2: np.ndarray):
+    """Responsibility-weighted token means and (floored, raw) variances per anchor
+    from float64 ``r``, its ``anchors`` and the squared tokens ``z2``, then
+    :func:`_anchor_mass`' three results. Anchors with mass below
+    ``DEGENERATE_MASS`` get mean 0 and variance equal to the floor.
+    """
     mass, ok, safe_mass = _anchor_mass(r)
-    means /= safe_mass[:, None]
-    second = (r @ tokens.data**2) / safe_mass[:, None]
+    means = anchors / safe_mass[:, None]
+    second = (r @ z2) / safe_mass[:, None]
     raw_var = second - means**2
     means = np.where(ok[:, None], means, 0.0)
     raw_var = np.where(ok[:, None], raw_var, VARIANCE_FLOOR)
@@ -425,8 +417,14 @@ def gaussian_prior_value_and_grad(
     max); degenerate anchors are constant and contribute nothing.
     """
     r = np.asarray(assignments, dtype=np.float64)
+    return _gaussian(r, tokens, pool_anchors(r, tokens))
+
+
+def _gaussian(r: np.ndarray, tokens: TokenMatrix, anchors: np.ndarray):
+    """:func:`gaussian_prior_value_and_grad` of float64 ``r`` and its ``anchors``."""
     z = tokens.data
-    means, variances, raw_var, _, ok, safe_mass = _moments(r, tokens)
+    z2 = z**2
+    means, variances, raw_var, _, ok, safe_mass = _moments(r, anchors, z2)
     value = gaussian_kl_closed_form(means, variances)
 
     # dKL/dvar through the floor: zero where the floor is active
@@ -443,7 +441,7 @@ def gaussian_prior_value_and_grad(
         -(means**2).sum(axis=1) + (d_var * (means**2 - raw_var)).sum(axis=1)
     )
     per_token = (
-        means @ z.T + d_var @ (z**2).T - 2.0 * (d_var * means) @ z.T
+        means @ z.T + d_var @ z2.T - 2.0 * (d_var * means) @ z.T
     ) + per_anchor_const[:, None]
     per_token /= safe_mass[:, None]
     per_token[~ok] = 0.0
@@ -469,6 +467,7 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
     matching. At ``kl_weight = 0`` no regularizer is evaluated and
     ``regularizer`` is 0.0.
 
+    The anchors are pooled first, once, which also checks the shapes.
     One (n_anchors, M) buffer, ``grad``, carries the step. With the
     categorical prior, a first row-tile sweep writes log(r * A) into it
     and takes the KL value and the column sums of its softmax backward;
@@ -483,15 +482,16 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
     contrastive one as adding the two whole arrays.
     """
     r = np.asarray(assignments, dtype=np.float64)
+    anchors = pool_anchors(r, tokens)
     weight = cfg.kl_weight
     reg, column_sums, reg_grad = 0.0, None, None
     if weight != 0.0 and cfg.prior_mode == "gaussian":
-        reg, reg_grad = gaussian_prior_value_and_grad(r, tokens)
+        reg, reg_grad = _gaussian(r, tokens, anchors)
         reg_grad *= weight
     grad = np.empty(r.shape)
     if weight != 0.0 and cfg.prior_mode == "categorical":
         reg, column_sums = _kl_value_and_column_sums(r, grad)
-    contrast = _contrastive(r, tokens, cfg, grad)[0]
+    contrast = _contrastive(r, tokens, cfg, grad, anchors)[0]
     if column_sums is not None:
         _add_kl_grad(r, column_sums, weight, grad)
     if reg_grad is not None:

@@ -12,6 +12,7 @@ import pytest
 from anchorkit import assignnet, cli
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
+from anchorkit.compressor import TrainRecord, TrainReport
 from anchorkit.core import load_array, load_tokens
 from anchorkit.attention import flop_count
 from anchorkit.objective import PRIOR_MODES
@@ -369,15 +370,14 @@ class TestDdim:
         assert "steps=1" in capsys.readouterr().out
 
     def test_unstorable_trajectory_exits_2_without_a_manifest(self, tmp_path, capsys):
-        """A guidance of 1e300 drives the states beyond float32's range."""
+        """A guidance of 1e300 drives the states beyond float32's range; every
+        state is checked before the directory is made, so nothing is left."""
         dump = tmp_path / "traj"
         code = run_cli("ddim", "--predictor", "tonly", "--guidance", "1e300", "--steps", "5",
                        "--dim", "4", "--dump", str(dump))
         assert code == 2
         assert "state_0001.vlt" in capsys.readouterr().err.splitlines()[-1]
-        assert not (dump / "manifest.txt").exists()
-        for state in dump.glob("state_*.vlt"):
-            load_array(state)
+        assert not dump.exists()
 
     def test_dump_writes_trajectory(self, tmp_path):
         dump = tmp_path / "traj"
@@ -403,6 +403,36 @@ class TestDdim:
         assert "steps=" not in captured.out
         assert not dump.exists()
         assert named in captured.err.splitlines()[-1]
+
+
+class TestCsvBytes:
+    """The exact bytes of each CSV artifact: a header row, then one row per
+    record, comma separated with CRLF line ends, floats as their repr."""
+
+    def test_training_report(self, tmp_path):
+        path = tmp_path / "r.csv"
+        TrainReport((TrainRecord(1, 0.1 + 0.2, -2.5, 1e-300, 0.6931471805599453),)).write_csv(path)
+        assert path.read_bytes() == (
+            b"step,total,contrastive,regularizer,entropy\r\n"
+            b"1,0.30000000000000004,-2.5,1e-300,0.6931471805599453\r\n"
+        )
+
+    def test_mixture_labels(self, tmp_path):
+        out = tmp_path / "g"
+        assert run_cli("gen", "--mixture", "--clusters", "3", "--dim", "2", "--points", "2",
+                       "--seed", "4", "--out", str(out)) == 0
+        assert (tmp_path / "g_labels.csv").read_bytes() == (
+            b"token,label\r\n0,0\r\n1,0\r\n2,1\r\n3,1\r\n4,2\r\n5,2\r\n"
+        )
+
+    def test_bench_header(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run_cli("bench", "--m-values", "8", "--anchors", "2", "--channels", "2",
+                       "--proj-dim", "2", "--modes", "anchor", "--repeats", "1",
+                       "--out", str(out)) == 0
+        header, row, end = out.read_bytes().split(b"\r\n")
+        assert header == b"mode,M,A,c,d,wall_ns,flops"
+        assert row.startswith(b"anchor,8,2,2,2,") and end == b""
 
 
 class TestAttend:

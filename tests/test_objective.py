@@ -21,8 +21,8 @@ from anchorkit.objective import (
     SIM_EPSILON,
     VARIANCE_FLOOR,
     AnchorConfig,
+    _moments,
     _top_k_mask,
-    anchor_moments,
     contrastive_grad,
     contrastive_loss,
     contrastive_value_and_grad,
@@ -362,7 +362,7 @@ class TestGaussianPriorKl:
         z = TokenMatrix(seeded_rng(14).standard_normal((3, 2)))
         r = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         value = gaussian_prior_value_and_grad(r, z)[0]
-        means, variances, _, mass = anchor_moments(r, z)
+        means, variances, _, mass = _moments(r, pool_anchors(r, z), z.data**2)[:4]
         assert mass[1] == 0.0
         prior_only = 0.5 * 2 * (floor - 1.0 - np.log(floor))
         live = gaussian_kl_closed_form(means[:1], variances[:1])
@@ -396,6 +396,7 @@ class TestTotalLoss:
         monkeypatch.setattr(objective, "kl_uniform_value_and_grad", refuse)
         monkeypatch.setattr(objective, "_kl_value_and_column_sums", refuse)
         monkeypatch.setattr(objective, "gaussian_prior_value_and_grad", refuse)
+        monkeypatch.setattr(objective, "_gaussian", refuse)
         rng = seeded_rng(17)
         z = TokenMatrix(rng.standard_normal((5, 3)))
         logits = rng.standard_normal((2, 5))
@@ -406,6 +407,23 @@ class TestTotalLoss:
         assert out.regularizer == 0.0
         np.testing.assert_array_equal(out.total, contrast)
         np.testing.assert_array_equal(out.grad_logits, grad)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3])
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    def test_anchors_pooled_once_per_call(self, mode, weight, monkeypatch):
+        calls = []
+        pool = objective.pool_anchors
+
+        def spy(*args):
+            calls.append(args)
+            return pool(*args)
+
+        monkeypatch.setattr(objective, "pool_anchors", spy)
+        rng = seeded_rng(17)
+        z = TokenMatrix(rng.standard_normal((5, 3)))
+        cfg = AnchorConfig(n_anchors=2, top_k=2, kl_weight=weight, prior_mode=mode)
+        total_loss(soft_assign(rng.standard_normal((2, 5))), z, cfg)
+        assert len(calls) == 1
 
     def test_decomposition_matches_separate_calls(self):
         rng = seeded_rng(18)
@@ -502,9 +520,9 @@ def two_pass_total_loss(logits, z, cfg):
         u[live] = np.log(r[live] * r.shape[0]) + 1.0
         reg_grad = softmax_backward(r, u)
     else:
-        means, variances, _, _ = anchor_moments(r, z)
+        means, variances, _, _ = _moments(r, pool_anchors(r, z), z.data**2)[:4]
         reg = gaussian_kl_closed_form(means, variances)
-        means, variances, raw_var, mass = anchor_moments(r, z)
+        means, variances, raw_var, mass = _moments(r, pool_anchors(r, z), z.data**2)[:4]
         ok = mass >= DEGENERATE_MASS
         d_var = np.where(raw_var > VARIANCE_FLOOR, 0.5 * (1.0 - 1.0 / variances), 0.0)
         const = -(means**2).sum(axis=1) + (d_var * (means**2 - raw_var)).sum(axis=1)
