@@ -86,7 +86,6 @@ from .objective import (
     contrastive_value_and_grad,
     cosine_sim,
     gaussian_kl_closed_form,
-    gaussian_prior_value_and_grad,
     kl_uniform,
     kl_uniform_grad,
     kl_uniform_value_and_grad,

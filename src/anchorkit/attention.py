@@ -24,11 +24,11 @@ Because each row's shift is fixed before any key is read, the weight sums
 and mixed values of a row tile's key blocks simply add, with none of the
 rescaling an online softmax needs when its running max moves. A row whose
 sum underflows, because its bound sat hundreds of units above its largest
-score, is recomputed block by block with the exact row-max shift of
-``core._exp_shifted``. Each row tile is normalised after its last key
-block, which divides M*d entries instead of M*N, into the query rows it
-has read, packed d wide, so the returned ``TokenMatrix`` holds the output
-without a copy.
+score, reruns the same key-block loop with its exact row max, found in
+one more pass over the key blocks, in place of the bound. Each row tile
+is normalised after its last key block, which divides M*d entries
+instead of M*N, into the query rows it has read, packed d wide, so the
+returned ``TokenMatrix`` holds the output without a copy.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ _TILE_BYTES = 8 * 2**20
 # packed for the matrix products once per 512 query rows, not per 128
 _KEY_BLOCK = 2048
 
-# a row's weight sum below this (or NaN) sends it to the exact path; it is
-# a normal float64, so a sum above it kept its row's mass
+# a row's weight sum below this (or NaN) reruns it with its exact row max;
+# it is a normal float64, so a sum above it kept its row's mass
 _TINY_SUM = 2.0**-900
 
 
@@ -141,51 +141,46 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
     blocks = [slice(b, b + width) for b in range(0, n, width)]
     rows, starts = _row_tiles((m, width), _TILE_BYTES)
     scores = np.empty((rows, width))
-    sums, part = np.empty((2, d + 1, rows))
+    # the last of these is only touched by rows that rerun
+    sums, part, rerun = np.empty((3, d + 1, rows))
     # the output's m*d entries lead the queries' m*(d+1): a tile's output
     # rows end where its query rows end, so they overwrite only query rows
     # already read, and no (m, d) buffer lives next to the score tile
     out = queries.reshape(-1)[: m * d].reshape(m, d)
     for start in starts:
         tile = queries[start : start + rows]
-        acc = sums[:, : len(tile)]
-        acc.fill(0.0)
-        for block in blocks:
-            weights = scores[: len(tile), : len(keys[block])]
-            np.exp(np.matmul(tile, keys[block].T, out=weights), out=weights)
-            acc += np.matmul(values[:, block], weights.T, out=part[:, : len(tile)])
+        acc = _block_sums(tile, keys, values, blocks, scores, part, sums[:, : len(tile)])
         # rows whose bound sat so far above their largest score that the
-        # weights underflowed: redo them with the exact row-max shift
+        # weights underflowed: rerun them shifted by their exact row max
         low = np.flatnonzero(~(acc[d] >= _TINY_SUM))
         if low.size:
-            acc[:, low] = _exact_sums(tile[low, :d], keys[:, :d], values, blocks, scores)
+            exact = tile[low]
+            exact[:, d] = 0.0
+            exact[:, d] = _row_max(exact, keys, blocks, scores)
+            acc[:, low] = _block_sums(
+                exact, keys, values, blocks, scores, part, rerun[:, : low.size])
         np.divide(acc[:d].T, acc[d, :, None], out=out[start : start + len(tile)])
     return out
 
 
-def _exact_sums(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    blocks: list[slice],
-    scores: np.ndarray,
-) -> np.ndarray:
-    """(d+1, rows) weight sums and mixed values of ``queries`` under their exact row-max shift.
+def _block_sums(queries, keys, values, blocks, scores, part, out) -> np.ndarray:
+    """(d+1, rows) mixed values and weight sums of ``queries`` into ``out``: each key
+    block's shifted scores are exponentiated in ``scores``, mixed into ``part``."""
+    out.fill(0.0)
+    for block in blocks:
+        weights = scores[: len(queries), : len(keys[block])]
+        np.exp(np.matmul(queries, keys[block].T, out=weights), out=weights)
+        out += np.matmul(values[:, block], weights.T, out=part[:, : len(queries)])
+    return out
 
-    One pass over the key blocks finds each row's largest score, a second
-    exponentiates the scores shifted by it, so no row needs all its keys'
-    scores at once and ``scores`` only has to hold one tile.
-    """
-    shift = np.full((queries.shape[0], 1), -np.inf)
+
+def _row_max(queries, keys, blocks, scores) -> np.ndarray:
+    """Each row's largest score over all key blocks, one block at a time in ``scores``."""
+    best = np.full(len(queries), -np.inf)
     for block in blocks:
         tile = np.matmul(queries, keys[block].T, out=scores[: len(queries), : len(keys[block])])
-        np.maximum(shift, tile.max(axis=1, keepdims=True), out=shift)
-    sums = np.zeros((values.shape[0], len(queries)))
-    for block in blocks:
-        tile = np.matmul(queries, keys[block].T, out=scores[: len(queries), : len(keys[block])])
-        _exp_shifted(tile, 1, tile, shift)
-        sums += values[:, block] @ tile.T
-    return sums
+        np.maximum(best, tile.max(axis=1), out=best)
+    return best
 
 
 def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) -> TokenMatrix:

@@ -4,7 +4,8 @@ Subcommands: gen | train | compress | bench | ddim | attend. Every
 tunable can come from three places, in override order: command-line flag,
 config file (UTF-8 lines of ``key = value``), built-in default. Each
 option's parser in ``OPTIONS`` holds its legal values, so a bad or missing
-value exits 2 naming its flag, file key or ANCHOR_SEED, before any work.
+value exits 2 naming its flag, file key or ANCHOR_SEED, before any work,
+as does an output path that is a directory or lies in a missing one.
 The resolved configuration is echoed to stderr so any run can be replayed
 from its log. Exit codes: 0 success, 2 usage or configuration error,
 3 numerical failure during training.
@@ -121,6 +122,8 @@ class Opt:
     help: str
     is_flag: bool = False
     required: bool = False
+    # an output option names the files it writes by these suffixes of its value
+    writes: tuple[str, ...] = ()
 
     @property
     def flag(self) -> str:
@@ -150,7 +153,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("objects", _at_least(0), 3, "drift: object count"),
         Opt("drift_per_frame", _finite(), synth.DriftVideoSpec.drift_per_frame,
             "drift: pixels moved per frame"),
-        Opt("out", str, None, "output path prefix", required=True),
+        Opt("out", str, None, "output path prefix", required=True, writes=(".vlt", "_labels.csv")),
         _COMMON_SEED,
     ],
     "train": [
@@ -169,15 +172,15 @@ OPTIONS: dict[str, list[Opt]] = {
             "hidden widths, comma separated"),
         Opt("subsample", _POSITIVE, None, "tokens sampled per step (default full batch)"),
         Opt("resume", str, None, "checkpoint to continue from"),
-        Opt("checkpoint", str, None, "checkpoint output path"),
-        Opt("report", str, None, "training report CSV output path"),
+        Opt("checkpoint", str, None, "checkpoint output path", writes=("",)),
+        Opt("report", str, None, "training report CSV output path", writes=("",)),
         _COMMON_SEED,
     ],
     "compress": [
         Opt("input", str, None, "token matrix (.vlt) to compress", required=True),
         Opt("checkpoint", str, None, "trained network checkpoint", required=True),
-        Opt("out_r", str, None, "assignment matrix output (.vlt)"),
-        Opt("out_c", str, None, "anchor matrix output (.vlt)"),
+        Opt("out_r", str, None, "assignment matrix output (.vlt)", writes=("",)),
+        Opt("out_c", str, None, "anchor matrix output (.vlt)", writes=("",)),
         _COMMON_SEED,
     ],
     "bench": [
@@ -187,7 +190,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("proj_dim", _POSITIVE, 64, "projected dimension"),
         Opt("modes", _list_of(_one_of(_KERNELS)), ("full", "anchor"), "kernels to time"),
         Opt("repeats", _POSITIVE, 3, "timings per point; best is kept"),
-        Opt("out", str, None, "benchmark CSV output path"),
+        Opt("out", str, None, "benchmark CSV output path", writes=("",)),
         _COMMON_SEED,
     ],
     "ddim": [
@@ -203,7 +206,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("mode", _one_of(_KERNELS), "full", " | ".join(_KERNELS)),
         Opt("anchors_file", str, None, "anchor matrix (.vlt), required for anchor mode"),
         Opt("proj_dim", _POSITIVE, 64, "projected dimension"),
-        Opt("out", str, None, "attention output (.vlt)"),
+        Opt("out", str, None, "attention output (.vlt)", writes=("",)),
         _COMMON_SEED,
     ],
 }
@@ -269,6 +272,17 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         if opt.required and not resolved[opt.name]:
             raise ConfigError(f"{opt.flag} is required")
     return resolved
+
+
+def _check_outputs(command: str, resolved: dict) -> None:
+    """Refuse an output path that is a directory or whose directory is missing."""
+    for opt in OPTIONS[command]:
+        for suffix in opt.writes if resolved[opt.name] else ():
+            path = Path(f"{resolved[opt.name]}{suffix}")
+            if path.is_dir():
+                raise ConfigError(f"{opt.flag}: {path} is a directory")
+            if not path.parent.is_dir():
+                raise ConfigError(f"{opt.flag}: no directory {path.parent}")
 
 
 def _echo_config(command: str, resolved: dict) -> None:
@@ -455,6 +469,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         resolved = resolve_options(args.command, args)
+        _check_outputs(args.command, resolved)
         _echo_config(args.command, resolved)
         return COMMANDS[args.command](resolved)
     except TrainingDivergedError as exc:

@@ -171,7 +171,7 @@ def train(
                     value.total,
                     value.contrastive,
                     obj.kl_weight * value.regularizer,
-                    anchor_usage_entropy(value.assignments),
+                    anchor_usage_entropy(assignments),
                 )
             )
     return net, TrainReport(tuple(records))

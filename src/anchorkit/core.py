@@ -3,21 +3,20 @@ row-tile rule, and the VLT1 binary tensor format.
 
 Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
-flattened from. Each holds only its data, an immutable float64 copy that
-``_as_owned_f64`` checks for finiteness, rank and extents >= 1, so
-neither the numerical modules nor the loaders re-check them. Either
+flattened from. Both share one frozen base, which holds only the data,
+an immutable float64 copy checked for finiteness, rank and extents >= 1,
+so neither the numerical modules nor the loaders re-check them. Either
 container, built from a fresh array of the package's own (an attention
-output, a loaded file, a training batch), adopts it under the same checks
-without a copy, through ``_adopted``.
+output, a loaded file, a training batch), adopts it under the same
+checks without a copy, through ``_adopt``.
 ``flatten``/``unflatten`` are the one definition of the token layout.
 ``_write_csv`` is the one writer of every CSV artifact.
 ``_exp_shifted`` is the one max-shifted exponential behind every exact
 softmax in the package: the objective's column softmax and contrastive
-rows, ``attention_weights``, and the attention rows whose folded shift
-underflowed (the attention kernels otherwise shift their scores inside
-the score product). ``_row_tiles`` is the one row-tile rule (objective
-and attention); ``_anchor_matrix`` is the one check of an anchor set
-handed to attention or the quantization error.
+rows, and ``attention_weights`` (the attention kernels shift their
+scores inside the score product). ``_row_tiles`` is the one row-tile
+rule (objective and attention); ``_anchor_matrix`` is the one check of
+an anchor set handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
 The writers refuse, before opening a file, any record that the decoder's
@@ -114,34 +113,6 @@ def _row_tiles(shape: tuple[int, int], budget: int) -> tuple[int, range]:
     return rows, range(0, n, rows)
 
 
-def _as_owned_f64(data, name: str, ndim: int) -> np.ndarray:
-    """A frozen float64 copy of ``data``: finite, rank ``ndim``, every extent >= 1."""
-    return _frozen(np.array(data, dtype=np.float64, order="C"), name, ndim)
-
-
-def _adopted(cls, arr: np.ndarray, name: str, ndim: int):
-    """A ``cls`` container that holds ``arr`` itself, checked and frozen but not copied.
-
-    For a C-ordered float64 array (or a view of a buffer) that nothing
-    else holds.
-    """
-    held = object.__new__(cls)
-    object.__setattr__(held, "data", _frozen(arr, name, ndim))
-    return held
-
-
-def _frozen(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
-    """``arr`` itself, made read-only once it is finite, rank ``ndim``, every extent >= 1."""
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{name} contains non-finite entries")
-    if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be rank {ndim}, got rank {arr.ndim}")
-    if min(arr.shape) < 1:
-        raise DimensionError(f"{name} extents must be >= 1, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 def _anchor_matrix(anchors, channels: int) -> np.ndarray:
     """``anchors`` as a float64 (n >= 1, ``channels``) matrix of finite rows."""
     anchors = np.asarray(anchors, dtype=np.float64)
@@ -153,7 +124,39 @@ def _anchor_matrix(anchors, channels: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TokenMatrix:
+class _Container:
+    """One read-only float64 array, ``data``: finite, every extent >= 1, and
+    of the rank ``_rank`` of the subclass, which names it ``_name``.
+
+    The constructor holds a C-ordered copy of what it is given; ``_adopt``
+    holds a fresh C-ordered float64 array (or a view of a buffer) that
+    nothing else holds, under the same checks but without a copy.
+    """
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        self._hold(np.array(self.data, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray):
+        held = object.__new__(cls)
+        held._hold(arr)
+        return held
+
+    def _hold(self, arr: np.ndarray) -> None:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"{self._name} contains non-finite entries")
+        if arr.ndim != self._rank:
+            raise DimensionError(f"{self._name} must be rank {self._rank}, got rank {arr.ndim}")
+        if min(arr.shape) < 1:
+            raise DimensionError(f"{self._name} extents must be >= 1, got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+
+@dataclass(frozen=True)
+class TokenMatrix(_Container):
     """Immutable ``M x c`` matrix of token feature rows; ``data`` is all it holds.
 
     Row ordering is frame-major, then row-major within each frame:
@@ -162,14 +165,8 @@ class TokenMatrix:
     the one definition of this layout.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_owned_f64(self.data, "token matrix", 2))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "TokenMatrix":
-        return _adopted(cls, arr, "token matrix", 2)
+    _name = "token matrix"
+    _rank = 2
 
     @property
     def num_tokens(self) -> int:
@@ -181,17 +178,11 @@ class TokenMatrix:
 
 
 @dataclass(frozen=True)
-class LatentTensor:
+class LatentTensor(_Container):
     """Immutable 4-axis latent block: frames x channels x height x width."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_owned_f64(self.data, "latent tensor", 4))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "LatentTensor":
-        return _adopted(cls, arr, "latent tensor", 4)
+    _name = "latent tensor"
+    _rank = 4
 
 
 def flatten(latent: LatentTensor) -> TokenMatrix:

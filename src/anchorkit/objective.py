@@ -10,11 +10,11 @@ of the tokens. Training balances two forces:
   anchors (categorical-to-uniform by default, or a Gaussian
   moment-matching variant for ablations); a zero weight turns it off.
 
-Every loss term takes the assignments, never the logits: its arguments
-are ``(assignments, tokens[, cfg])``. Each term has one ``*_value_and_grad``
-function that shares its work between the value and the gradient, and
-pools the anchors itself if it needs them; ``total_loss`` pools them once
-and runs each term's shared pass, its private kernel, once per step.
+Every loss term takes the assignments, never the logits, and has one
+private kernel that shares its work between the value and the gradient;
+``total_loss`` pools the anchors once and runs each kernel once per step.
+The contrastive and KL terms are also public ``*_value_and_grad``
+functions, which pool the anchors themselves if they need them.
 ``contrastive_loss``, ``contrastive_grad``, ``kl_uniform`` and
 ``kl_uniform_grad`` return one half of such a call. With the categorical
 prior ``total_loss`` holds one (n_anchors, M) gradient buffer beyond the
@@ -401,27 +401,17 @@ def _moments(r: np.ndarray, anchors: np.ndarray, z2: np.ndarray):
     return means, variances, raw_var, mass, ok, safe_mass
 
 
-def gaussian_prior_value_and_grad(
-    assignments: np.ndarray, tokens: TokenMatrix
-) -> tuple[float, np.ndarray]:
-    """Gaussian-prior regularizer over the anchor space, and its logit gradient.
+def _gaussian(r: np.ndarray, tokens: TokenMatrix, anchors: np.ndarray):
+    """Gaussian-prior regularizer of float64 ``r`` and its ``anchors``, and its logit gradient.
 
     Each anchor's posterior is the diagonal Gaussian matching its
     responsibility-weighted token moments (variances floored); the value
     is the summed divergence from the standard normal. Anchors with no
     responsibility mass contribute the prior-only constant (mean 0,
-    variance equal to the floor).
-
-    The gradient is exact away from the variance floor: at floored
-    coordinates the variance path carries zero derivative (the floor is a
-    max); degenerate anchors are constant and contribute nothing.
+    variance equal to the floor). The gradient is exact away from the
+    floor, where the variance path carries zero derivative (the floor is
+    a max); degenerate anchors are constant and contribute nothing.
     """
-    r = np.asarray(assignments, dtype=np.float64)
-    return _gaussian(r, tokens, pool_anchors(r, tokens))
-
-
-def _gaussian(r: np.ndarray, tokens: TokenMatrix, anchors: np.ndarray):
-    """:func:`gaussian_prior_value_and_grad` of float64 ``r`` and its ``anchors``."""
     z = tokens.data
     z2 = z**2
     means, variances, raw_var, _, ok, safe_mass = _moments(r, anchors, z2)
@@ -456,7 +446,6 @@ class ObjectiveValue:
     contrastive: float
     regularizer: float
     grad_logits: np.ndarray
-    assignments: np.ndarray
 
 
 def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> ObjectiveValue:
@@ -496,4 +485,4 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
         _add_kl_grad(r, column_sums, weight, grad)
     if reg_grad is not None:
         grad += reg_grad
-    return ObjectiveValue(contrast + weight * reg, contrast, reg, grad, assignments)
+    return ObjectiveValue(contrast + weight * reg, contrast, reg, grad)

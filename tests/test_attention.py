@@ -293,8 +293,8 @@ class TestKeyBlocks:
             seen.append(len(queries))
             return exact(queries, *args)
 
-        exact = attention._exact_sums
-        monkeypatch.setattr(attention, "_exact_sums", spy)
+        exact = attention._row_max
+        monkeypatch.setattr(attention, "_row_max", spy)
         self.block(monkeypatch, key_block, rows_per_tile)
         assert key_block * rows_per_tile < self.M
         blocked = self.run(mode, tokens, anchors, proj)
@@ -350,8 +350,8 @@ class TestExactFallback:
             seen.append(x.shape[0])
             return exact(x, *args)
 
-        exact = attention._exp_shifted
-        monkeypatch.setattr(attention, "_exp_shifted", spy)
+        exact = attention._row_max
+        monkeypatch.setattr(attention, "_row_max", spy)
         return lambda: sum(seen)
 
     @staticmethod

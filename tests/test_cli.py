@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorkit import assignnet, cli
+from anchorkit import assignnet, attention, baselines, cli, compressor
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.compressor import TrainRecord, TrainReport
@@ -581,6 +581,48 @@ def valid_args(tmp_path, tokens_file):
         "ddim": ["--steps", "3", "--dump", str(tmp_path / "traj")],
         "attend": ["--input", tokens, "--mode", "full", "--out", str(tmp_path / "a.vlt")],
     }
+
+
+# every option that names a file the command writes, in table order
+OUTPUT_OPTIONS = [("gen", "out"), ("train", "checkpoint"), ("train", "report"),
+                  ("compress", "out_r"), ("compress", "out_c"), ("bench", "out"),
+                  ("attend", "out")]
+
+
+class TestOutputPaths:
+    def test_table_marks_every_output_option(self):
+        marked = [(command, o.name) for command, opts in OPTIONS.items() for o in opts if o.writes]
+        assert marked == OUTPUT_OPTIONS
+
+    @pytest.fixture()
+    def work(self, monkeypatch):
+        """Names of the training, compression, clustering and attention calls made."""
+        calls = []
+        for module, name in [(compressor, "train"), (compressor, "compress"),
+                             (baselines, "kmeans"), (attention, "full_attention"),
+                             (attention, "anchor_attention")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        return calls
+
+    @pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+    @pytest.mark.parametrize("command,name", OUTPUT_OPTIONS)
+    def test_bad_output_path_exits_2_before_any_work(
+        self, tmp_path, valid_args, capsys, work, command, name, where
+    ):
+        args = valid_args[command]
+        flag = "--" + name.replace("_", "-")
+        if where == "a directory":
+            path = tmp_path / "taken"
+            # gen's --out is a prefix: its tokens file is the directory
+            Path(f"{path}.vlt" if command == "gen" else path).mkdir()
+        else:
+            path = tmp_path / "nodir" / "out"
+        args[args.index(flag) + 1] = str(path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(command, *args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert work == []
 
 
 # the least legal value of every integer option; a list option's entries share it

@@ -36,7 +36,34 @@ from anchorkit.core import (
 )
 
 
+CONTAINERS = pytest.mark.parametrize("container,rank", [(TokenMatrix, 2), (LatentTensor, 4)])
+
+
 class TestContainers:
+    @CONTAINERS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, container, rank, bad):
+        arr = np.ones((2,) * rank)
+        arr.flat[-1] = bad
+        with pytest.raises(NumericalError):
+            container(arr)
+
+    @CONTAINERS
+    def test_rejects_a_zero_extent(self, container, rank):
+        with pytest.raises(DimensionError):
+            container(np.ones((2,) * (rank - 1) + (0,)))
+
+    @CONTAINERS
+    def test_holds_a_frozen_copy(self, container, rank):
+        source = np.arange(2.0**rank).reshape((2,) * rank)
+        held = container(source)
+        source[...] = -1.0
+        assert type(held) is container
+        np.testing.assert_array_equal(held.data.ravel(), np.arange(2.0**rank))
+        assert held.data.flags.c_contiguous and not held.data.flags.writeable
+        with pytest.raises(ValueError):
+            held.data[(0,) * rank] = 9.0
+
     def test_token_matrix_rejects_nan(self):
         with pytest.raises(NumericalError):
             TokenMatrix([[1.0, np.nan]])

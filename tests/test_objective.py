@@ -21,6 +21,7 @@ from anchorkit.objective import (
     SIM_EPSILON,
     VARIANCE_FLOOR,
     AnchorConfig,
+    _gaussian,
     _moments,
     _top_k_mask,
     contrastive_grad,
@@ -28,7 +29,6 @@ from anchorkit.objective import (
     contrastive_value_and_grad,
     cosine_sim,
     gaussian_kl_closed_form,
-    gaussian_prior_value_and_grad,
     kl_uniform,
     kl_uniform_grad,
     kl_uniform_value_and_grad,
@@ -328,27 +328,27 @@ class TestGaussianPriorKl:
         """Tokens at +1/-1 per dimension with equal weights: mean 0, var 1."""
         z = TokenMatrix(np.vstack([np.ones(3), -np.ones(3)]))
         r = np.full((2, 2), 0.5)
-        assert gaussian_prior_value_and_grad(r, z)[0] == pytest.approx(0.0, abs=1e-12)
+        assert _gaussian(r, z, pool_anchors(r, z))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_mean_case(self):
         """mean 1, var 1, one dimension: value 1/2."""
         z = TokenMatrix([[0.0], [2.0]])
         r = np.array([[0.5, 0.5]])
-        assert gaussian_prior_value_and_grad(r, z)[0] == pytest.approx(0.5, rel=1e-12)
+        assert _gaussian(r, z, pool_anchors(r, z))[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_wide_variance_case(self):
         """mean 0, var 2, one dimension: (2 - 1 - ln 2)/2."""
         target = 0.5 * (2.0 - 1.0 - np.log(2.0))
         z = TokenMatrix([[np.sqrt(2.0)], [-np.sqrt(2.0)]])
         r = np.array([[0.5, 0.5]])
-        assert gaussian_prior_value_and_grad(r, z)[0] == pytest.approx(target, rel=1e-12)
+        assert _gaussian(r, z, pool_anchors(r, z))[0] == pytest.approx(target, rel=1e-12)
 
     def test_nonnegative_and_zero_only_at_standard(self):
         rng = seeded_rng(13)
         for _ in range(25):
             z = TokenMatrix(rng.standard_normal((8, 3)))
             r = soft_assign(rng.standard_normal((2, 8)))
-            assert gaussian_prior_value_and_grad(r, z)[0] >= 0.0
+            assert _gaussian(r, z, pool_anchors(r, z))[0] >= 0.0
 
     def test_closed_form_helper(self):
         assert gaussian_kl_closed_form(np.array([[1.0]]), np.array([[1.0]])) == pytest.approx(0.5)
@@ -361,7 +361,7 @@ class TestGaussianPriorKl:
         floor = VARIANCE_FLOOR
         z = TokenMatrix(seeded_rng(14).standard_normal((3, 2)))
         r = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-        value = gaussian_prior_value_and_grad(r, z)[0]
+        value = _gaussian(r, z, pool_anchors(r, z))[0]
         means, variances, _, mass = _moments(r, pool_anchors(r, z), z.data**2)[:4]
         assert mass[1] == 0.0
         prior_only = 0.5 * 2 * (floor - 1.0 - np.log(floor))
@@ -372,8 +372,14 @@ class TestGaussianPriorKl:
         rng = seeded_rng(15)
         z = TokenMatrix(rng.standard_normal((7, 3)))
         logits = rng.standard_normal((2, 7))
-        analytic = gaussian_prior_value_and_grad(soft_assign(logits), z)[1]
-        numeric = fd_grad(lambda l: gaussian_prior_value_and_grad(soft_assign(l), z)[0], logits)
+        r = soft_assign(logits)
+        analytic = _gaussian(r, z, pool_anchors(r, z))[1]
+
+        def value(l):
+            r = soft_assign(l)
+            return _gaussian(r, z, pool_anchors(r, z))[0]
+
+        numeric = fd_grad(value, logits)
         assert rel_err(analytic, numeric) < 1e-6
 
 
@@ -395,7 +401,6 @@ class TestTotalLoss:
 
         monkeypatch.setattr(objective, "kl_uniform_value_and_grad", refuse)
         monkeypatch.setattr(objective, "_kl_value_and_column_sums", refuse)
-        monkeypatch.setattr(objective, "gaussian_prior_value_and_grad", refuse)
         monkeypatch.setattr(objective, "_gaussian", refuse)
         rng = seeded_rng(17)
         z = TokenMatrix(rng.standard_normal((5, 3)))
@@ -442,7 +447,7 @@ class TestTotalLoss:
         cfg = AnchorConfig(n_anchors=2, top_k=2, kl_weight=0.2, prior_mode="gaussian")
         r = soft_assign(logits)
         out = total_loss(r, z, cfg)
-        assert out.regularizer == pytest.approx(gaussian_prior_value_and_grad(r, z)[0])
+        assert out.regularizer == pytest.approx(_gaussian(r, z, pool_anchors(r, z))[0])
 
     def test_full_gradient_matches_finite_differences(self):
         rng = seeded_rng(20)
