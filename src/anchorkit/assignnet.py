@@ -134,22 +134,24 @@ def _check_tokens(net: AssignmentNetwork, tokens: TokenMatrix) -> None:
         )
 
 
-def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix, out=None):
+def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix, out=None, keep=True):
     """Run the network on all tokens; returns per-layer activations.
 
     ``acts[i]`` is the input to layer ``i`` as a (width, M) matrix;
     ``acts[-1]`` is the logit output. Given ``out``, the ``acts[1:]`` of
     an earlier call on as many tokens, layer ``i`` writes into ``out[i]``
-    and ``acts[i + 1] is out[i]``; otherwise each layer allocates.
+    and ``acts[i + 1] is out[i]``; otherwise each layer allocates. Without
+    ``keep`` each input is dropped once read, and ``acts`` is the logits.
     """
     acts = [tokens.data.T]
-    x = acts[0]
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        x = np.matmul(layer.weight, x, out=None if out is None else out[i])
+        x = np.matmul(layer.weight, acts[-1], out=None if out is None else out[i])
         x += layer.bias[:, None]
         if i < last:
             np.tanh(x, out=x)
+        if not keep:
+            acts.pop()
         acts.append(x)
     return acts
 
@@ -157,7 +159,7 @@ def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix, out=None):
 def forward(net: AssignmentNetwork, tokens: TokenMatrix) -> np.ndarray:
     """Logits for every token, one column per token: (n_anchors, M)."""
     _check_tokens(net, tokens)
-    return _forward_cached(net, tokens)[-1]
+    return _forward_cached(net, tokens, keep=False)[-1]
 
 
 def backward(

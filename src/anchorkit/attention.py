@@ -10,10 +10,11 @@ benchmarks can report measured time against predicted work. ``align``
 and ``unalign`` regroup a latent per spatial position for cross-frame
 attention through ``core.flatten``/``unflatten``.
 
-The core walks (query rows x key block) tiles whose scores fit in one
-reused buffer of about ``_TILE_BYTES``, so a call holds one score tile
-plus O(M*d) memory for its projections and output, never the M x N score
-matrix. The projections are written into buffers one column (values: one
+The core walks tiles of at most ``_TILE_ROWS`` query rows by
+``_KEY_BLOCK`` keys in one reused score buffer, so a call holds one score
+tile plus O(M*d) memory for its projections and output, never the M x N
+score matrix; query and key norms are taken a row tile at a time too.
+The projections are written into buffers one column (values: one
 row) wider than d, and that extra line folds the softmax into the two
 matrix products: the queries carry the Cauchy-Schwarz bound
 |q_i| max_j |k_j| on their row's scores and the keys -1, so the score
@@ -39,16 +40,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DimensionError, LatentTensor, NumericalError, TokenMatrix
-from .core import _anchor_matrix, _exp_shifted, _row_tiles, flatten, seeded_rng, unflatten
+from .core import _anchor_matrix, _exp_shifted, flatten, seeded_rng, unflatten
 
-# bytes of the one score buffer a call reuses for every tile: big enough
-# for efficient matrix products (512 rows by 2048 keys), small enough that
-# the exp pass stays in cache, not main memory
-_TILE_BYTES = 8 * 2**20
+# query rows per score tile: tall enough that each key block is packed for
+# the matrix products once per 512 rows, short enough that a tile over 512
+# anchors is 2 MiB
+_TILE_ROWS = 512
 
-# keys per score tile; the rows are what the byte budget leaves. Blocking
-# the keys keeps the tiles of full attention tall, so each key block is
-# packed for the matrix products once per 512 query rows, not per 128
+# keys per score tile: 512 rows by 2048 keys is one 8 MiB buffer, big
+# enough for efficient matrix products, small enough for the exp pass
 _KEY_BLOCK = 2048
 
 # a row's weight sum below this (or NaN) reruns it with its exact row max;
@@ -130,25 +130,24 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
     """
     m, n = queries.shape[0], keys.shape[0]
     d = queries.shape[1] - 1
-    queries[:, :d] /= np.sqrt(d)
+    width, rows = min(n, _KEY_BLOCK), min(m, _TILE_ROWS)
     # Cauchy-Schwarz: |q_i| max_j |k_j| bounds every score in row i, so
-    # q.k - shift never overflows exp
-    key_bound = np.linalg.norm(keys[:, :d], axis=1).max()
-    np.multiply(np.linalg.norm(queries[:, :d], axis=1), key_bound, out=queries[:, d])
+    # q.k - shift never overflows exp; a tile's norms square only its rows
+    key_bound = max(np.linalg.norm(keys[b : b + _TILE_ROWS, :d], axis=1).max()
+                    for b in range(0, n, _TILE_ROWS))
     keys[:, d] = -1.0
     values[d] = 1.0
-    width = min(n, _KEY_BLOCK)
     blocks = [slice(b, b + width) for b in range(0, n, width)]
-    rows, starts = _row_tiles((m, width), _TILE_BYTES)
     scores = np.empty((rows, width))
-    # the last of these is only touched by rows that rerun
-    sums, part, rerun = np.empty((3, d + 1, rows))
+    sums, part = np.empty((2, d + 1, rows))
     # the output's m*d entries lead the queries' m*(d+1): a tile's output
     # rows end where its query rows end, so they overwrite only query rows
     # already read, and no (m, d) buffer lives next to the score tile
     out = queries.reshape(-1)[: m * d].reshape(m, d)
-    for start in starts:
+    for start in range(0, m, rows):
         tile = queries[start : start + rows]
+        tile[:, :d] /= np.sqrt(d)
+        np.multiply(np.linalg.norm(tile[:, :d], axis=1), key_bound, out=tile[:, d])
         acc = _block_sums(tile, keys, values, blocks, scores, part, sums[:, : len(tile)])
         # rows whose bound sat so far above their largest score that the
         # weights underflowed: rerun them shifted by their exact row max
@@ -158,7 +157,7 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
             exact[:, d] = 0.0
             exact[:, d] = _row_max(exact, keys, blocks, scores)
             acc[:, low] = _block_sums(
-                exact, keys, values, blocks, scores, part, rerun[:, : low.size])
+                exact, keys, values, blocks, scores, part, np.empty((d + 1, low.size)))
         np.divide(acc[:d].T, acc[d, :, None], out=out[start : start + len(tile)])
     return out
 

@@ -9,9 +9,10 @@ allocated by the first step and written again by every later one, so a
 step does not fault in fresh pages for them. There is no early stopping;
 a fixed step count keeps runs reproducible. Settings that cannot train
 (a top-k larger than the batch, a network of the wrong width) are
-rejected before a network is built or run. Inference is the same forward pass and
-softmax, then one matrix multiplication. ``anchor_means`` divides the anchors
-``compress`` pooled by their mass, with the objective's degenerate-anchor rule.
+rejected before a network is built or run. Inference is the same forward pass,
+keeping no activation it has read, and softmax, then one matrix multiplication.
+``anchor_means`` divides the anchors ``compress`` pooled by their mass, with
+the objective's degenerate-anchor rule.
 """
 
 from __future__ import annotations
@@ -181,8 +182,10 @@ def compress(tokens: TokenMatrix, net: AssignmentNetwork) -> CompressResult:
     """Extract the assignment matrix and pooled anchors in one pass.
 
     No iteration: a forward pass, a column softmax, and one matrix
-    multiplication. The softmax overwrites the fresh logits, so this holds
-    one (n_anchors, M) array. Pure: equal inputs give bit-identical arrays.
+    multiplication. The forward pass drops each hidden activation once the
+    next layer has read it, and the softmax overwrites the fresh logits, so
+    at its peak this holds the (n_anchors, M) logits and one hidden (width,
+    M) array. Pure: equal inputs give bit-identical arrays.
     """
     logits = assignnet.forward(net, tokens)
     assignments = soft_assign(logits, out=logits)

@@ -14,9 +14,9 @@ checks without a copy, through ``_adopt``.
 ``_exp_shifted`` is the one max-shifted exponential behind every exact
 softmax in the package: the objective's column softmax and contrastive
 rows, and ``attention_weights`` (the attention kernels shift their
-scores inside the score product). ``_row_tiles`` is the one row-tile
-rule (objective and attention); ``_anchor_matrix`` is the one check of
-an anchor set handed to attention or the quantization error.
+scores inside the score product). ``_row_tiles`` is the objective's
+row-tile rule; ``_anchor_matrix`` is the one check of an anchor set
+handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
 The writers refuse, before opening a file, any record that the decoder's
@@ -36,6 +36,10 @@ MAGIC = b"VLT1"
 # Refuse to allocate for absurd headers (product of extents) before touching
 # the payload; also bounds each extent read from disk.
 MAX_ELEMENTS = 1 << 32
+
+# entries per chunk of a container's finiteness check: one reused 64 KiB
+# mask, which stays in cache, not a boolean copy an eighth the array's size
+_FINITE_CHUNK = 1 << 16
 
 
 class AnchorKitError(Exception):
@@ -145,8 +149,12 @@ class _Container:
         return held
 
     def _hold(self, arr: np.ndarray) -> None:
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"{self._name} contains non-finite entries")
+        flat = arr.reshape(-1)
+        mask = np.empty(min(flat.size, _FINITE_CHUNK), dtype=bool)
+        for start in range(0, flat.size, _FINITE_CHUNK):
+            part = flat[start : start + _FINITE_CHUNK]
+            if not np.isfinite(part, out=mask[: part.size]).all():
+                raise NumericalError(f"{self._name} contains non-finite entries")
         if arr.ndim != self._rank:
             raise DimensionError(f"{self._name} must be rank {self._rank}, got rank {arr.ndim}")
         if min(arr.shape) < 1:

@@ -99,15 +99,18 @@ def soft_assign(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndar
 
     Input and output are (n_anchors, M); every output column is a probability
     vector, computed in ``out`` (which may be ``logits``) or in a new array.
+    The column max (the shift) and min are non-finite if any logit is, so
+    they check the logits with no (n_anchors, M) mask, before any write.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be 2-D, got {logits.ndim}-D")
-    if not np.isfinite(logits).all():
+    shift = logits.max(axis=0, keepdims=True)
+    if not (np.isfinite(shift).all() and np.isfinite(logits.min(axis=0)).all()):
         raise NumericalError("logits contain non-finite entries")
     if out is None:
         out = np.empty_like(logits)
-    _exp_shifted(logits, 0, out)
+    _exp_shifted(logits, 0, out, shift)
     out /= out.sum(axis=0, keepdims=True)
     return out
 

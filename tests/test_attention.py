@@ -1,5 +1,6 @@
 """Alignment permutation, attention kernels vs naive oracles, cost model."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -188,7 +189,7 @@ class TestTiling:
 
     M = 7
 
-    # a budget below one row still gives one-row tiles
+    # a fraction of a row rounds up to one-row tiles
     @pytest.mark.parametrize("rows_per_tile", [0.1, 1, 2, 3, 5])
     @pytest.mark.parametrize("mode", ["full", "anchor"])
     def test_ragged_tiles_match_oracle_and_single_tile(self, monkeypatch, mode, rows_per_tile):
@@ -203,9 +204,8 @@ class TestTiling:
                 return full_attention(tokens, proj).data
             return anchor_attention(tokens, anchors, proj).data
 
-        single = run()  # default budget: every row in one tile
-        budget = int(8 * keys_from.shape[0] * rows_per_tile)
-        monkeypatch.setattr(attention, "_TILE_BYTES", budget)
+        single = run()  # default tile: every row in one tile
+        monkeypatch.setattr(attention, "_TILE_ROWS", math.ceil(rows_per_tile))
         tiled = run()
         expected = naive_attention(
             tokens.data @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
@@ -224,7 +224,48 @@ class TestTiling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * attention._TILE_BYTES
+        assert peak < 3 * 8 * attention._TILE_ROWS * attention._KEY_BLOCK
+
+
+class TestTileRows:
+    """Tiles cut only the query rows, so each score keeps its d+1 terms and
+    each value sum its key block; a few hundred anchors make a small tile."""
+
+    @pytest.mark.parametrize("rows", [256, 512])
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_whole_tiles_keep_the_bytes_of_one_tile(self, monkeypatch, mode, rows):
+        """Rows 1 and 3 go through OpenBLAS's vector and edge kernels, whose
+        bits differ; TestTiling holds them to the oracle's tolerance."""
+        rng = seeded_rng(21)
+        tokens = TokenMatrix(rng.standard_normal((1024, 16)))
+        anchors = rng.standard_normal((64, 16))
+        proj = init_projection(16, 16, seed=11)
+
+        def run():
+            if mode == "full":
+                return full_attention(tokens, proj).data.tobytes()
+            return anchor_attention(tokens, anchors, proj).data.tobytes()
+
+        monkeypatch.setattr(attention, "_TILE_ROWS", 1024)
+        single = run()
+        monkeypatch.setattr(attention, "_TILE_ROWS", rows)
+        assert run() == single
+
+    def test_anchor_attention_peak_at_inference_shapes(self):
+        """M=8192, A=512, c=d=64: the (M, d+1) queries, one 512 x 512 score
+        tile and its accumulators stay under 9 MiB (2048-row tiles sized
+        from a byte budget peaked at 15.75 MiB)."""
+        rng = seeded_rng(22)
+        tokens = TokenMatrix(rng.standard_normal((8192, 64)))
+        anchors = rng.standard_normal((512, 64))
+        proj = init_projection(64, 64, seed=12)
+        tracemalloc.start()
+        try:
+            anchor_attention(tokens, anchors, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
 
 
 class TestKeyBlocks:
@@ -249,9 +290,8 @@ class TestKeyBlocks:
 
     @staticmethod
     def block(monkeypatch, key_block, rows_per_tile):
-        width = min(TestKeyBlocks.M, key_block)
         monkeypatch.setattr(attention, "_KEY_BLOCK", key_block)
-        monkeypatch.setattr(attention, "_TILE_BYTES", 8 * width * rows_per_tile)
+        monkeypatch.setattr(attention, "_TILE_ROWS", rows_per_tile)
 
     # 7 keys in both modes: every token (full) or 7 anchors (anchor)
     @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
@@ -331,7 +371,7 @@ class TestKeyBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * attention._TILE_BYTES
+        assert peak < 3 * 8 * attention._TILE_ROWS * attention._KEY_BLOCK
 
 
 class TestExactFallback:
@@ -390,8 +430,7 @@ class TestExactFallback:
             tokens[2] *= 300
         else:
             anchors[0] *= 300
-        n_keys = self.M if mode == "full" else 3
-        monkeypatch.setattr(attention, "_TILE_BYTES", 8 * n_keys * rows_per_tile)
+        monkeypatch.setattr(attention, "_TILE_ROWS", rows_per_tile)
         proj = init_projection(4, 3, seed=8)
         out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
         assert 0 < exact_rows() < self.M

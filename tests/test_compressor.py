@@ -318,7 +318,7 @@ class TestInPlaceCompress:
 
     def test_traced_peak_below_two_assignment_matrices(self):
         """At A=512, M=4096, hidden (128, 128) compress holds the logits
-        (then assignments) and the two hidden activations: 1.5 assignment
+        (then assignments) and one hidden activation: 1.25 assignment
         matrices (one array per operation peaked at 4)."""
         tokens = random_tokens(m=4096, c=16, seed=16)
         net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
@@ -329,6 +329,20 @@ class TestInPlaceCompress:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 512 * 4096 * 8
+
+    def test_traced_peak_holds_no_dead_activation(self):
+        """At M=8192, A=512, c=64, hidden (128, 128) compress holds the
+        logits and the last hidden activation, 1.25 assignment matrices;
+        keeping the first one too, and a finiteness mask, peaked at 1.5."""
+        tokens = random_tokens(m=8192, c=64, seed=20)
+        net = init_network(64, 512, hidden_dims=(128, 128), seed=21)
+        tracemalloc.start()
+        try:
+            compress(tokens, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 512 * 8192 * 8
 
     def test_non_finite_logits_raise(self):
         """Last-layer weights of 1e308 overflow the logits to inf."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from anchorkit import core
 from anchorkit.assignnet import (
     AssignmentNetwork, Layer, init_network, load_checkpoint, save_checkpoint,
 )
@@ -47,6 +48,25 @@ class TestContainers:
         arr.flat[-1] = bad
         with pytest.raises(NumericalError):
             container(arr)
+
+    @CONTAINERS
+    @pytest.mark.parametrize("where", [0, 2, 3, -1])
+    def test_rejects_non_finite_in_any_check_chunk(self, monkeypatch, container, rank, where):
+        """Chunks of 3 entries over 2**rank of them: a bad entry is found
+        at either end of the first chunk, in the second, or in the short
+        last one."""
+        monkeypatch.setattr(core, "_FINITE_CHUNK", 3)
+        arr = np.ones((2,) * rank)
+        arr.flat[where] = np.nan
+        with pytest.raises(NumericalError):
+            container(arr)
+        assert container(np.ones((2,) * rank)).data.shape == (2,) * rank
+
+    def test_rejects_non_finite_past_the_first_chunk(self):
+        arr = np.ones((3, core._FINITE_CHUNK))
+        arr[2, -1] = -np.inf
+        with pytest.raises(NumericalError):
+            TokenMatrix._adopt(arr)
 
     @CONTAINERS
     def test_rejects_a_zero_extent(self, container, rank):
@@ -150,11 +170,8 @@ class TestFlatten:
             again = flatten(back)
             np.testing.assert_array_equal(again.data, tokens.data)
 
-    def test_traced_peak_is_one_result(self):
-        """The reshaped copy is adopted, not copied again: an 8x64x32x32
-        latent flattens into one 4 MiB result plus the adoption check's
-        boolean finiteness mask, an eighth of it (two copies peaked at
-        8.5 MiB, 2.1 results)."""
+    @staticmethod
+    def flatten_peak():
         lat = LatentTensor(seeded_rng(13).standard_normal((8, 64, 32, 32)))
         tracemalloc.start()
         try:
@@ -162,7 +179,18 @@ class TestFlatten:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * tokens.data.nbytes
+        return peak / tokens.data.nbytes
+
+    def test_traced_peak_is_one_result(self):
+        """The reshaped copy is adopted, not copied again: an 8x64x32x32
+        latent flattens into one 4 MiB result (two copies peaked at
+        8.5 MiB, 2.1 results)."""
+        assert self.flatten_peak() < 1.2
+
+    def test_adoption_check_holds_no_full_size_mask(self):
+        """The finiteness check reuses one 64 KiB mask; a boolean mask of
+        the whole result, an eighth of it, peaked at 1.125 results."""
+        assert self.flatten_peak() <= 1.05
 
     @pytest.mark.parametrize("shape", [(3, 1, 2, 4), (3, 5, 1, 1)])
     def test_view_shapes_get_their_own_buffer(self, shape):

@@ -689,9 +689,9 @@ class TestInPlaceObjective:
                 assert_same_bits(got, want)
 
     def test_soft_assign_traced_peak_is_one_output(self):
-        """At A=512, M=4096 the softmax holds its output and a boolean
-        finiteness mask: below 1.25 output sizes (one array per operation
-        peaked at 3)."""
+        """At A=512, M=4096 the softmax holds its output and (M,) column
+        arrays: below 1.25 output sizes (one array per operation peaked at
+        3)."""
         logits = seeded_rng(41).standard_normal((512, 4096))
         tracemalloc.start()
         try:
@@ -700,6 +700,31 @@ class TestInPlaceObjective:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * logits.nbytes
+
+    def test_soft_assign_in_place_holds_no_mask(self):
+        """At A=512, M=8192 the in-place softmax holds only (M,) column
+        arrays: under 0.05 logit arrays (a boolean finiteness mask of the
+        logits peaked at 0.125)."""
+        logits = seeded_rng(42).standard_normal((512, 8192))
+        tracemalloc.start()
+        try:
+            soft_assign(logits, out=logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * logits.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 1)])
+    def test_soft_assign_rejects_non_finite_before_writing(self, bad, where):
+        """The column max shows NaN and +inf, the column min -inf, wherever
+        the entry sits in its column."""
+        logits = seeded_rng(43).standard_normal((5, 4))
+        logits[where] = bad
+        seen = logits.copy()
+        with pytest.raises(NumericalError, match="non-finite"):
+            soft_assign(seen, out=seen)
+        np.testing.assert_array_equal(seen, logits)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
