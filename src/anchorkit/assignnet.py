@@ -185,17 +185,21 @@ def _backprop(net: AssignmentNetwork, acts, upstream: np.ndarray) -> GradientBun
     It consumes the hidden activations ``acts[1:-1]``: once layer ``i``'s
     weight gradient is taken, ``acts[i]`` is overwritten with tanh' and
     then with the delta propagated to layer ``i - 1``. The tokens
-    ``acts[0]`` and the output ``acts[-1]`` are never written.
+    ``acts[0]`` are never written. The output ``acts[-1]`` is spent by the
+    time the loop runs, so each propagated ``W.T @ delta`` goes into its
+    leading width * M entries when it has room, else into a fresh array.
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     delta = upstream
+    spare = acts[-1].reshape(-1)
     for i in range(len(net.layers) - 1, -1, -1):
         grads.append((delta @ acts[i].T, delta.sum(axis=1)))
         if i > 0:
             # tanh'(pre) = 1 - tanh(pre)^2, and acts[i] stores tanh(pre)
             slope = np.square(acts[i], out=acts[i])
             np.subtract(1.0, slope, out=slope)
-            slope *= net.layers[i].weight.T @ delta
+            out = spare[: slope.size].reshape(slope.shape) if len(spare) >= slope.size else None
+            slope *= np.matmul(net.layers[i].weight.T, delta, out=out)
             delta = slope
     grads.reverse()
     return tuple(grads)

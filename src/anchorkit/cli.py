@@ -122,8 +122,9 @@ class Opt:
     help: str
     is_flag: bool = False
     required: bool = False
-    # an output option names the files it writes by these suffixes of its value
-    writes: tuple[str, ...] = ()
+    # an output option names the files it writes by (suffix of its value, flag)
+    # pairs; a file is written only when its flag is set, or always if it is None
+    writes: tuple[tuple[str, Optional[str]], ...] = ()
 
     @property
     def flag(self) -> str:
@@ -153,7 +154,8 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("objects", _at_least(0), 3, "drift: object count"),
         Opt("drift_per_frame", _finite(), synth.DriftVideoSpec.drift_per_frame,
             "drift: pixels moved per frame"),
-        Opt("out", str, None, "output path prefix", required=True, writes=(".vlt", "_labels.csv")),
+        Opt("out", str, None, "output path prefix", required=True,
+            writes=((".vlt", None), ("_labels.csv", "mixture"))),
         _COMMON_SEED,
     ],
     "train": [
@@ -172,15 +174,15 @@ OPTIONS: dict[str, list[Opt]] = {
             "hidden widths, comma separated"),
         Opt("subsample", _POSITIVE, None, "tokens sampled per step (default full batch)"),
         Opt("resume", str, None, "checkpoint to continue from"),
-        Opt("checkpoint", str, None, "checkpoint output path", writes=("",)),
-        Opt("report", str, None, "training report CSV output path", writes=("",)),
+        Opt("checkpoint", str, None, "checkpoint output path", writes=(("", None),)),
+        Opt("report", str, None, "training report CSV output path", writes=(("", None),)),
         _COMMON_SEED,
     ],
     "compress": [
         Opt("input", str, None, "token matrix (.vlt) to compress", required=True),
         Opt("checkpoint", str, None, "trained network checkpoint", required=True),
-        Opt("out_r", str, None, "assignment matrix output (.vlt)", writes=("",)),
-        Opt("out_c", str, None, "anchor matrix output (.vlt)", writes=("",)),
+        Opt("out_r", str, None, "assignment matrix output (.vlt)", writes=(("", None),)),
+        Opt("out_c", str, None, "anchor matrix output (.vlt)", writes=(("", None),)),
         _COMMON_SEED,
     ],
     "bench": [
@@ -190,7 +192,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("proj_dim", _POSITIVE, 64, "projected dimension"),
         Opt("modes", _list_of(_one_of(_KERNELS)), ("full", "anchor"), "kernels to time"),
         Opt("repeats", _POSITIVE, 3, "timings per point; best is kept"),
-        Opt("out", str, None, "benchmark CSV output path", writes=("",)),
+        Opt("out", str, None, "benchmark CSV output path", writes=(("", None),)),
         _COMMON_SEED,
     ],
     "ddim": [
@@ -206,7 +208,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("mode", _one_of(_KERNELS), "full", " | ".join(_KERNELS)),
         Opt("anchors_file", str, None, "anchor matrix (.vlt), required for anchor mode"),
         Opt("proj_dim", _POSITIVE, 64, "projected dimension"),
-        Opt("out", str, None, "attention output (.vlt)", writes=("",)),
+        Opt("out", str, None, "attention output (.vlt)", writes=(("", None),)),
         _COMMON_SEED,
     ],
 }
@@ -275,9 +277,11 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
 
 
 def _check_outputs(command: str, resolved: dict) -> None:
-    """Refuse an output path that is a directory or whose directory is missing."""
+    """Refuse an output path the run writes that is a directory or whose directory is missing."""
     for opt in OPTIONS[command]:
-        for suffix in opt.writes if resolved[opt.name] else ():
+        for suffix, flag in opt.writes if resolved[opt.name] else ():
+            if flag is not None and not resolved[flag]:
+                continue
             path = Path(f"{resolved[opt.name]}{suffix}")
             if path.is_dir():
                 raise ConfigError(f"{opt.flag}: {path} is a directory")

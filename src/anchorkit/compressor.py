@@ -3,8 +3,10 @@
 Training is plain full-batch gradient descent on the anchor objective:
 every step runs the network, softmaxes its logits in their own buffer,
 evaluates the losses on those assignments in one (n_anchors, batch)
-gradient buffer (two with the Gaussian prior), backpropagates into the
-network and takes one Adam step. The network's (width, batch) arrays are
+gradient buffer (two with the Gaussian prior), records its report row,
+backpropagates into the network with the products in the spent
+assignments, and drops the gradient before its Adam step, so no phase
+holds a dead (n_anchors, batch) array. The network's (width, batch) arrays are
 allocated by the first step and written again by every later one, so a
 step does not fault in fresh pages for them. There is no early stopping;
 a fixed step count keeps runs reproducible. Settings that cannot train
@@ -119,7 +121,8 @@ def train(
 
     A fresh Xavier-initialized network is created from ``cfg.seed`` unless
     one is passed in (checkpoint reuse). Identical (tokens, cfg, net)
-    always produce bit-identical results.
+    always produce bit-identical results. A step holds the assignments, the
+    hidden activations and the objective's buffers, never an earlier step's.
     """
     obj = cfg.objective
     if cfg.subsample is not None and cfg.subsample > tokens.num_tokens:
@@ -159,12 +162,6 @@ def train(
         for term, name in ((value.contrastive, "contrastive"), (value.regularizer, "regularizer")):
             if not np.isfinite(term):
                 raise TrainingDivergedError(step, name)
-        grads = assignnet._backprop(net, acts, value.grad_logits)
-        layer_out = acts[1:]
-        try:
-            net, state = assignnet.adam_step(net, grads, state)
-        except NumericalError:
-            raise TrainingDivergedError(step, "parameters") from None
         if step % cfg.log_every == 0 or step == cfg.steps:
             records.append(
                 TrainRecord(
@@ -175,6 +172,14 @@ def train(
                     anchor_usage_entropy(assignments),
                 )
             )
+        # the spent assignments take backprop's products; Adam runs without the gradient
+        grads = assignnet._backprop(net, acts, value.grad_logits)
+        del value
+        layer_out = acts[1:]
+        try:
+            net, state = assignnet.adam_step(net, grads, state)
+        except NumericalError:
+            raise TrainingDivergedError(step, "parameters") from None
     return net, TrainReport(tuple(records))
 
 

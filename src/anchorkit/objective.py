@@ -21,9 +21,9 @@ prior ``total_loss`` holds one (n_anchors, M) gradient buffer beyond the
 assignments: the KL term's value sweep, the contrastive term and the KL
 gradient's sweep all work in it. The Gaussian prior keeps a second one,
 its own gradient. The matrix products fill whole buffers; the
-elementwise passes between them, the top-k partition and the softmax
-backward walk the anchors in ``core._row_tiles`` of about
-``_TILE_BYTES``, so a tile stays in cache from one pass to the next.
+elementwise passes between them, the top-k partition and mask (never an
+(n_anchors, M) one) and the softmax backward walk the anchors in
+``core._row_tiles`` of ``_TILE_BYTES``, so a tile stays in cache between passes.
 Every result is bit-identical to whole-matrix passes: each reduction
 runs along a row, except the softmax backward's column sums, which carry
 their running sums from tile to tile in the row order of numpy's own
@@ -224,11 +224,13 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / denom)
 
 
-def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
-    """Boolean (n_anchors, M) mask of each row's top-k token set.
+def _top_k_mask(assignments: np.ndarray, k: int, out=None) -> np.ndarray:
+    """Boolean mask of each row's top-k token set, in ``out`` if given.
 
     Ties at the k-th largest value break toward the lowest token index,
-    so equal inputs always give the identical set.
+    so equal inputs always give the identical set. The rule is row-wise, so
+    the contrastive term applies it to one row tile at a time, in one reused
+    boolean tile, and holds no (n_anchors, M) mask.
     """
     r = np.asarray(assignments, dtype=np.float64)
     m = r.shape[1]
@@ -240,7 +242,7 @@ def _top_k_mask(assignments: np.ndarray, k: int) -> np.ndarray:
     for start in starts:
         t = slice(start, start + rows)
         kth[t] = np.partition(r[t], m - k, axis=1)[:, m - k, None]
-    mask = r >= kth
+    mask = np.greater_equal(r, kth, out=out)
     # a row with more than k entries at or above its k-th largest value has
     # ties at that value; the surplus ties drop from the highest token index
     surplus = mask.sum(axis=1) - k
@@ -269,8 +271,8 @@ def contrastive_value_and_grad(
     weights dL/dsims / denom, dL/dR and dL/dlogits; the matrix products
     fill it whole. Between them, each row tile of anchors runs every
     elementwise pass in three tile buffers (the denominator, the
-    similarities and their scaled exponentials) and fills its rows of the
-    per-anchor vectors, so a tile's passes stay in cache.
+    similarities and their scaled exponentials) and one boolean tile (its
+    top-k mask), and fills its rows of the per-anchor vectors.
     """
     r = np.asarray(assignments, dtype=np.float64)
     return _contrastive(r, tokens, cfg, np.empty(r.shape), pool_anchors(r, tokens))
@@ -281,28 +283,29 @@ def _contrastive(r: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig,
     """:func:`contrastive_value_and_grad` of float64 ``r`` and its ``anchors`` in
     the C-ordered (n_anchors, M) buffer ``work``, which ends up holding the gradient."""
     z = tokens.data
-    mask = _top_k_mask(r, cfg.top_k)
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
     np.matmul(anchors, z.T, out=work)
     rows, starts = _row_tiles(work.shape, _TILE_BYTES)
     denom, sims, scaled = (np.empty((rows, work.shape[1])) for _ in range(3))
+    in_top = np.empty((rows, work.shape[1]), dtype=bool)
     positives, lse, beta = (np.empty(len(work)) for _ in range(3))
     for start in starts:
         t = slice(start, start + rows)
         block = work[t]
         den, sim, sc = denom[: len(block)], sims[: len(block)], scaled[: len(block)]
+        top = _top_k_mask(r[t], cfg.top_k, out=in_top[: len(block)])
         np.multiply(anchor_norms[t, None], token_norms[None, :], out=den)
         den += SIM_EPSILON
         np.divide(block, den, out=sim)
         np.divide(sim, cfg.temperature, out=sc)
-        positives[t] = np.multiply(sc, mask[t], out=block).sum(axis=1)
+        positives[t] = np.multiply(sc, top, out=block).sum(axis=1)
         row_max = _exp_shifted(sc, 1, sc)  # sc now holds the exponentials
         row_sum = sc.sum(axis=1, keepdims=True)
         lse[t] = np.log(row_sum[:, 0]) + row_max[:, 0]
         # sc in turn: softmax, dL/d(sims/tau), dL/dsims
         sc /= row_sum
-        np.subtract(sc, 1.0 / cfg.top_k, out=sc, where=mask[t])
+        np.subtract(sc, 1.0 / cfg.top_k, out=sc, where=top)
         sc /= cfg.temperature
         # sims[a,m] = (c_a . z_m) / denom[a,m]; differentiate both factors.
         w_direct = np.divide(sc, den, out=block)

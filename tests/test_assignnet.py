@@ -191,6 +191,32 @@ class TestInPlaceLayers:
         np.testing.assert_array_equal(acts[0], kept[0])
         np.testing.assert_array_equal(acts[-1], kept[-1])
 
+    @pytest.mark.parametrize("out_dim", [16, 12, 7])
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 12)])
+    def test_backprop_products_go_into_the_spent_output(self, hidden, out_dim):
+        """A (16, 40) output has room for every propagated product, a (12, 40)
+        one for the width-12 layer's only and a (7, 40) one for none; the
+        gradients stay bit-equal to the reference either way, and only the
+        hidden activations and, when it has room, the output are written."""
+        rng = seeded_rng(38)
+        net = init_network(5, out_dim, hidden_dims=hidden, seed=39)
+        tokens = TokenMatrix(rng.standard_normal((40, 5)))
+        upstream = rng.standard_normal((out_dim, 40))
+        acts = _forward_cached(net, tokens)
+        kept = [acts[0].copy(), acts[-1].copy(), upstream.copy()]
+        params = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
+        want = reference_backprop(net, reference_forward_cached(net, tokens), upstream)
+        for got, ref in zip(_backprop(net, acts, upstream), want):
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+        np.testing.assert_array_equal(acts[0], kept[0])
+        np.testing.assert_array_equal(upstream, kept[2])
+        for layer, (w, b) in zip(net.layers, params):
+            np.testing.assert_array_equal(layer.weight, w)
+            np.testing.assert_array_equal(layer.bias, b)
+        used = any(out_dim >= width for width in hidden)
+        assert np.array_equal(acts[-1], kept[1]) != used
+
     def test_forward_and_backward_leave_inputs_unchanged(self):
         rng = seeded_rng(32)
         net = init_network(4, 6, hidden_dims=(8, 8), seed=33)

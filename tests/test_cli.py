@@ -48,6 +48,22 @@ class TestGen:
         arr = load_array(out.with_suffix(".vlt"))
         assert arr.shape == (3, 8, 8, 8)  # frames, channels, height, width
 
+    @pytest.mark.parametrize("mode", ["--mixture", "--drift"])
+    def test_labels_path_checked_only_when_written(self, tmp_path, capsys, mode):
+        """Only a mixture writes ``<out>_labels.csv``: a directory there stops
+        a mixture before any file is written, and a drift video ignores it."""
+        (tmp_path / "p_labels.csv").mkdir()
+        code = run_cli("gen", mode, "--height", "4", "--width", "4", "--out",
+                       str(tmp_path / "p"))
+        if mode == "--mixture":
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out: ") and "p_labels.csv is a directory" in err
+            assert not (tmp_path / "p.vlt").exists()
+        else:
+            assert code == 0
+            assert load_array(tmp_path / "p.vlt").shape == (4, 8, 4, 4)
+
     @pytest.mark.parametrize("command,extra", [
         ("train", ()), ("compress", ("--checkpoint", "net.ckpt")), ("attend", ()),
     ], ids=["train", "compress", "attend"])

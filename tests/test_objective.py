@@ -750,6 +750,13 @@ def whole_array_top_k_mask(r, k):
     return mask
 
 
+def straddling_ties():
+    """Six tie-heavy rows of 48 values in thirds; equal rows sit on both
+    sides of every boundary of 1-, 2- and 3-row tiles."""
+    row = np.round(seeded_rng(44).uniform(0, 3, 48)) / 3
+    return np.stack([row, row, np.roll(row, 5), np.roll(row, 5), row, np.roll(row, 11)])
+
+
 class TestRowTiles:
     """The elementwise passes walk the anchors in row tiles. Budgets of 1, 2,
     3 and 5 rows split the 6 anchors into several tiles, the last one
@@ -774,13 +781,24 @@ class TestRowTiles:
     def test_top_k_mask_equals_whole_array_partition(self, rows_per_tile):
         """Rows tie at their k-th value, and equal rows sit on both sides of
         every tile boundary."""
-        rng = seeded_rng(44)
-        row = np.round(rng.uniform(0, 3, 48)) / 3
-        r = np.stack([row, row, np.roll(row, 5), np.roll(row, 5), row, np.roll(row, 11)])
+        r = straddling_ties()
         for k in range(1, 49):
             want = whole_array_top_k_mask(r, k)
             np.testing.assert_array_equal(_top_k_mask(r, k), want)
             np.testing.assert_array_equal(_top_k_mask(np.asfortranarray(r), k), want)
+
+    def test_contrastive_with_ties_across_tiles_equals_lexsort_reference(self, rows_per_tile):
+        """The contrastive term masks each row tile in one boolean tile. At
+        44 of the 48 values of k every row has surplus ties at its k-th
+        value, on both sides of every tile boundary, and at every k the
+        value and gradient keep the lexsort mask's bits."""
+        r = straddling_ties()
+        z = logit_cases()["random"][1]
+        for k in range(1, 49):
+            cfg = AnchorConfig(n_anchors=6, top_k=k)
+            for got, want in zip(contrastive_value_and_grad(r, z, cfg),
+                                 reference_contrastive_value_and_grad(r @ z.data, z, r, cfg)):
+                assert_same_bits(got, want)
 
     @pytest.mark.parametrize("scale", [1.0, 400.0])
     def test_kl_sweeps_equal_references(self, rows_per_tile, scale):
