@@ -1,14 +1,15 @@
 """Cross-frame attention kernels and their cost model.
 
-Two single-head kernels share one body, which checks the projection
-width, projects queries, keys and values, and runs the scaled-dot-product
-core: the full quadratic baseline (keys and values from all tokens) and
-the compressed variant where keys and values come from a small anchor set
-while queries still come from every token. Only the anchor kernel checks
-its anchors. The exact multiply-accumulate counts of both are exposed so
-benchmarks can report measured time against predicted work. ``align``
-and ``unalign`` regroup a latent per spatial position for cross-frame
-attention through ``core.flatten``/``unflatten``.
+Two single-head kernels share one body, ``_attend``, which checks the
+projection width, projects queries, keys and values, and runs the
+scaled-dot-product core: the full quadratic baseline (keys and values
+from all tokens) and the compressed variant where keys and values come
+from a small anchor set while queries still come from every token. Only
+the anchor kernel checks its anchors. The exact multiply-accumulate
+counts of both are exposed so benchmarks can report measured time
+against predicted work. ``align`` and ``unalign`` regroup a latent per
+spatial position for cross-frame attention through
+``core.flatten``/``unflatten``.
 
 The core walks tiles of at most ``_TILE_ROWS`` query rows by
 ``_KEY_BLOCK`` keys in one reused score buffer, so a call holds one score
@@ -115,21 +116,26 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d)) V, one (query rows x key block) tile at a time.
+def _attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) -> TokenMatrix:
+    """softmax(Q K^T / sqrt(d)) V: queries from ``tokens``, keys and values from ``kv``'s rows.
 
-    Takes (m, d+1) queries and (n, d+1) keys whose first d columns hold
-    the projections, and (d+1, n) values whose first d rows hold the
-    projected values transposed, so each key block's values are a column
-    slice. The last query and key column and the last value row are free;
-    this fills them so one product gives each score minus a bound on its
-    row, and the other gives each row's weight sum under its mixed values.
-    Works in the buffer of ``queries``, so callers pass a fresh
-    projection; the result is a C-ordered (m, d) view of its leading m*d
-    entries.
+    Checks the projection width, then projects into buffers one line wider
+    than d: (m, d+1) queries, (n, d+1) keys and (d+1, n) values, transposed
+    so each key block's values are a column slice. The free line is filled
+    so the score product gives each score minus a bound on its row and the
+    value product each row's weight sum. The output is written into the
+    queries' leading m*d entries.
     """
-    m, n = queries.shape[0], keys.shape[0]
-    d = queries.shape[1] - 1
+    if tokens.num_channels != proj.input_dim:
+        raise DimensionError(
+            f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
+        )
+    m, n, d = tokens.num_tokens, kv.shape[0], proj.proj_dim
+    queries, keys = np.empty((m, d + 1)), np.empty((n, d + 1))
+    np.matmul(tokens.data, proj.w_query, out=queries[:, :d])
+    np.matmul(kv, proj.w_key, out=keys[:, :d])
+    values = np.empty((d + 1, n))
+    np.matmul(proj.w_value.T, kv.T, out=values[:d])
     width, rows = min(n, _KEY_BLOCK), min(m, _TILE_ROWS)
     # Cauchy-Schwarz: |q_i| max_j |k_j| bounds every score in row i, so
     # q.k - shift never overflows exp; a tile's norms square only its rows
@@ -159,7 +165,7 @@ def _attend(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.nda
             acc[:, low] = _block_sums(
                 exact, keys, values, blocks, scores, part, np.empty((d + 1, low.size)))
         np.divide(acc[:d].T, acc[d, :, None], out=out[start : start + len(tile)])
-    return out
+    return TokenMatrix._adopt(out)
 
 
 def _block_sums(queries, keys, values, blocks, scores, part, out) -> np.ndarray:
@@ -182,24 +188,9 @@ def _row_max(queries, keys, blocks, scores) -> np.ndarray:
     return best
 
 
-def _qkv_attend(tokens: TokenMatrix, kv: np.ndarray, proj: AttentionProjection) -> TokenMatrix:
-    """Width-checked attention: queries from ``tokens``, keys and values from rows of ``kv``."""
-    if tokens.num_channels != proj.input_dim:
-        raise DimensionError(
-            f"projection expects {proj.input_dim} channels, got {tokens.num_channels}"
-        )
-    d = proj.proj_dim
-    queries, keys = (np.empty((x.shape[0], d + 1)) for x in (tokens.data, kv))
-    np.matmul(tokens.data, proj.w_query, out=queries[:, :d])
-    np.matmul(kv, proj.w_key, out=keys[:, :d])
-    values = np.empty((d + 1, kv.shape[0]))
-    np.matmul(proj.w_value.T, kv.T, out=values[:d])
-    return TokenMatrix._adopt(_attend(queries, keys, values))
-
-
 def full_attention(tokens: TokenMatrix, proj: AttentionProjection) -> TokenMatrix:
     """Quadratic baseline: queries, keys and values all from the tokens."""
-    return _qkv_attend(tokens, tokens.data, proj)
+    return _attend(tokens, tokens.data, proj)
 
 
 def anchor_attention(
@@ -210,7 +201,7 @@ def anchor_attention(
     Cost is linear in the token count at a fixed anchor count, which is
     the whole point of compressing the latents first.
     """
-    return _qkv_attend(tokens, _anchor_matrix(anchors, tokens.num_channels), proj)
+    return _attend(tokens, _anchor_matrix(anchors, tokens.num_channels), proj)
 
 
 def flop_count(
@@ -238,13 +229,14 @@ def flop_count(
     excluded, as are the rows that underflow and are recomputed exactly.
     """
     m, a, c, d = int(n_tokens), int(n_anchors), int(channels), int(proj_dim)
-    if min(m, a, c, d) < 1:
+    hidden = [int(hd) for hd in hidden_dims]
+    if min(m, a, c, d, *hidden) < 1:
         raise ConfigError("all extents must be >= 1")
     if mode == "full":
         return 3 * m * c * d + 2 * m * m * (d + 1)
     if mode == "anchor":
         return m * c * d + 2 * a * c * d + 2 * m * a * (d + 1)
     if mode == "fphi":
-        widths = [c, *[int(hd) for hd in hidden_dims], a]
+        widths = [c, *hidden, a]
         return m * sum(w0 * w1 for w0, w1 in zip(widths[:-1], widths[1:]))
     raise ConfigError(f"unknown mode {mode!r}")

@@ -5,7 +5,8 @@ tunable can come from three places, in override order: command-line flag,
 config file (UTF-8 lines of ``key = value``), built-in default. Each
 option's parser in ``OPTIONS`` holds its legal values, so a bad or missing
 value exits 2 naming its flag, file key or ANCHOR_SEED, before any work,
-as does an output path that is a directory or lies in a missing one.
+as does an output file that is a directory or lies in a missing one, or
+an output directory that is, or lies under, a file.
 The resolved configuration is echoed to stderr so any run can be replayed
 from its log. Exit codes: 0 success, 2 usage or configuration error,
 3 numerical failure during training.
@@ -123,7 +124,8 @@ class Opt:
     is_flag: bool = False
     required: bool = False
     # an output option names the files it writes by (suffix of its value, flag)
-    # pairs; a file is written only when its flag is set, or always if it is None
+    # pairs; a file is written only when its flag is set, or always if it is None.
+    # A suffix ending in "/" names a directory, made with any missing parents
     writes: tuple[tuple[str, Optional[str]], ...] = ()
 
     @property
@@ -200,7 +202,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("predictor", _one_of(_PREDICTORS), "zero", " | ".join(_PREDICTORS)),
         Opt("dim", _POSITIVE, 64, "latent vector length"),
         Opt("guidance", _finite(), None, "wrap the predictor with this guidance scale"),
-        Opt("dump", str, None, "directory for trajectory tensors"),
+        Opt("dump", str, None, "directory for trajectory tensors", writes=(("/", None),)),
         _COMMON_SEED,
     ],
     "attend": [
@@ -277,15 +279,20 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
 
 
 def _check_outputs(command: str, resolved: dict) -> None:
-    """Refuse an output path the run writes that is a directory or whose directory is missing."""
+    """Refuse an output path the run writes: a file that is a directory or whose
+    directory is missing, or a directory that is, or lies under, a file."""
     for opt in OPTIONS[command]:
         for suffix, flag in opt.writes if resolved[opt.name] else ():
             if flag is not None and not resolved[flag]:
                 continue
             path = Path(f"{resolved[opt.name]}{suffix}")
-            if path.is_dir():
+            if suffix.endswith("/"):
+                taken = next(p for p in (path, *path.parents) if p.exists())
+                if not taken.is_dir():
+                    raise ConfigError(f"{opt.flag}: {taken} is not a directory")
+            elif path.is_dir():
                 raise ConfigError(f"{opt.flag}: {path} is a directory")
-            if not path.parent.is_dir():
+            elif not path.parent.is_dir():
                 raise ConfigError(f"{opt.flag}: no directory {path.parent}")
 
 

@@ -1,5 +1,5 @@
-"""Dense containers, deterministic RNG, the shared softmax exponential and
-row-tile rule, and the VLT1 binary tensor format.
+"""Dense containers, deterministic RNG, the shared softmax exponential, and
+the VLT1 binary tensor format.
 
 Everything downstream works on two value types: a flat token matrix
 (``M`` tokens by ``c`` channels) and the 4-axis latent tensor it is
@@ -14,9 +14,8 @@ checks without a copy, through ``_adopt``.
 ``_exp_shifted`` is the one max-shifted exponential behind every exact
 softmax in the package: the objective's column softmax and contrastive
 rows, and ``attention_weights`` (the attention kernels shift their
-scores inside the score product). ``_row_tiles`` is the objective's
-row-tile rule; ``_anchor_matrix`` is the one check of an anchor set
-handed to attention or the quantization error.
+scores inside the score product). ``_anchor_matrix`` is the one check of
+an anchor set handed to attention or the quantization error.
 
 All in-memory arithmetic is float64; the on-disk format stores float32.
 The writers refuse, before opening a file, any record that the decoder's
@@ -108,13 +107,6 @@ def _exp_shifted(x: np.ndarray, axis: int, out: np.ndarray, shift=None) -> np.nd
         shift = x.max(axis=axis, keepdims=True)
     np.exp(np.subtract(x, shift, out=out), out=out)
     return shift
-
-
-def _row_tiles(shape: tuple[int, int], budget: int) -> tuple[int, range]:
-    """Rows per tile of a float64 ``shape`` array within ``budget`` bytes, and each tile's start."""
-    n, m = shape
-    rows = min(n, max(1, budget // (8 * m)))
-    return rows, range(0, n, rows)
 
 
 def _anchor_matrix(anchors, channels: int) -> np.ndarray:

@@ -22,8 +22,8 @@ assignments: the KL term's value sweep, the contrastive term and the KL
 gradient's sweep all work in it. The Gaussian prior keeps a second one,
 its own gradient. The matrix products fill whole buffers; the
 elementwise passes between them, the top-k partition and mask (never an
-(n_anchors, M) one) and the softmax backward walk the anchors in
-``core._row_tiles`` of ``_TILE_BYTES``, so a tile stays in cache between passes.
+(n_anchors, M) one) and the softmax backward walk the anchors in the row
+tiles of :func:`_row_tiles`, so a tile stays in cache between passes.
 Every result is bit-identical to whole-matrix passes: each reduction
 runs along a row, except the softmax backward's column sums, which carry
 their running sums from tile to tile in the row order of numpy's own
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, NumericalError, TokenMatrix, _exp_shifted, _row_tiles
+from .core import ConfigError, DimensionError, NumericalError, TokenMatrix, _exp_shifted
 
 PRIOR_MODES = ("categorical", "gaussian")
 
@@ -60,6 +60,18 @@ VARIANCE_FLOOR = 1e-6
 # a tile and its few companions fit one core's L2 cache (2 MiB), so a tile
 # stays in cache from one pass to the next instead of going back to memory
 _TILE_BYTES = 512 * 2**10
+
+
+def _row_tiles(shape: tuple[int, int], *dtypes):
+    """Walk the rows of a float64 ``shape`` array in tiles of at most
+    ``_TILE_BYTES`` (at least one row), in order: yield each tile's row
+    slice, then, per entry of ``dtypes``, a view cut to the tile's rows of
+    one buffer of that dtype that every tile reuses."""
+    n, m = shape
+    rows = min(n, max(1, _TILE_BYTES // (8 * m)))
+    buffers = [np.empty((rows, m), dtype=dtype) for dtype in dtypes]
+    for start in range(0, n, rows):
+        yield (slice(start, start + rows), *(b[: min(rows, n - start)] for b in buffers))
 
 
 @dataclass(frozen=True)
@@ -179,14 +191,9 @@ def _kl_value_and_column_sums(r: np.ndarray, grad: np.ndarray) -> tuple[float, n
     The value is then one pairwise sum of r * log(r * A) over the whole
     array, as a whole-array pass gives.
     """
-    rows, starts = _row_tiles(r.shape, _TILE_BYTES)
-    tile, dead = np.empty((rows, r.shape[1])), np.empty((rows, r.shape[1]), dtype=bool)
     column_sums = None
-    for start in starts:
-        t = slice(start, start + rows)
-        log_ratio = grad[t]
-        u = tile[: len(log_ratio)]
-        _kl_dvalue(r[t], len(r), log_ratio, u, dead[: len(log_ratio)])
+    for t, u, dead in _row_tiles(r.shape, float, bool):
+        _kl_dvalue(r[t], len(r), grad[t], u, dead)
         column_sums = _carried_column_sums(np.multiply(r[t], u, out=u), column_sums)
     value = float(np.multiply(r, grad, out=grad).sum())
     return value, column_sums
@@ -201,17 +208,12 @@ def _add_kl_grad(r: np.ndarray, column_sums: np.ndarray, weight: float,
     of :func:`_softmax_backward` on it, so the gradient needs no array of
     its own beyond one tile.
     """
-    rows, starts = _row_tiles(r.shape, _TILE_BYTES)
-    tile, dead = np.empty((rows, r.shape[1])), np.empty((rows, r.shape[1]), dtype=bool)
-    for start in starts:
-        t = slice(start, start + rows)
-        g = grad[t]
-        u = tile[: len(g)]
-        _kl_dvalue(r[t], len(r), u, u, dead[: len(g)])
+    for t, u, dead in _row_tiles(r.shape, float, bool):
+        _kl_dvalue(r[t], len(r), u, u, dead)
         u -= column_sums
         u *= r[t]
         u *= weight
-        g += u
+        grad[t] += u
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -230,18 +232,13 @@ def _top_k_mask(assignments: np.ndarray, k: int, out=None) -> np.ndarray:
     Ties at the k-th largest value break toward the lowest token index,
     so equal inputs always give the identical set. The rule is row-wise, so
     the contrastive term applies it to one row tile at a time, in one reused
-    boolean tile, and holds no (n_anchors, M) mask.
+    boolean tile, and holds no (n_anchors, M) mask or partition.
     """
     r = np.asarray(assignments, dtype=np.float64)
     m = r.shape[1]
     if k > m:
         raise ConfigError(f"top_k={k} exceeds token count {m}")
-    # each row's k-th largest value, partitioned one row tile at a time
-    kth = np.empty((len(r), 1))
-    rows, starts = _row_tiles(r.shape, _TILE_BYTES)
-    for start in starts:
-        t = slice(start, start + rows)
-        kth[t] = np.partition(r[t], m - k, axis=1)[:, m - k, None]
+    kth = np.partition(r, m - k, axis=1)[:, m - k, None]
     mask = np.greater_equal(r, kth, out=out)
     # a row with more than k entries at or above its k-th largest value has
     # ties at that value; the surplus ties drop from the highest token index
@@ -286,15 +283,10 @@ def _contrastive(r: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig,
     anchor_norms = np.linalg.norm(anchors, axis=1)
     token_norms = np.linalg.norm(z, axis=1)
     np.matmul(anchors, z.T, out=work)
-    rows, starts = _row_tiles(work.shape, _TILE_BYTES)
-    denom, sims, scaled = (np.empty((rows, work.shape[1])) for _ in range(3))
-    in_top = np.empty((rows, work.shape[1]), dtype=bool)
     positives, lse, beta = (np.empty(len(work)) for _ in range(3))
-    for start in starts:
-        t = slice(start, start + rows)
+    for t, den, sim, sc, in_top in _row_tiles(work.shape, float, float, float, bool):
         block = work[t]
-        den, sim, sc = denom[: len(block)], sims[: len(block)], scaled[: len(block)]
-        top = _top_k_mask(r[t], cfg.top_k, out=in_top[: len(block)])
+        top = _top_k_mask(r[t], cfg.top_k, out=in_top)
         np.multiply(anchor_norms[t, None], token_norms[None, :], out=den)
         den += SIM_EPSILON
         np.divide(block, den, out=sim)
@@ -341,14 +333,10 @@ def _softmax_backward(assignments: np.ndarray, d_assignments: np.ndarray) -> np.
     """
     r = np.asarray(assignments, dtype=np.float64)
     d = d_assignments
-    rows, starts = _row_tiles(d.shape, _TILE_BYTES)
-    tile = np.empty((rows, d.shape[1]))
     inner = None
-    for start in starts:
-        t = slice(start, start + rows)
-        inner = _carried_column_sums(np.multiply(r[t], d[t], out=tile[: len(d[t])]), inner)
-    for start in starts:
-        t = slice(start, start + rows)
+    for t, products in _row_tiles(d.shape, float):
+        inner = _carried_column_sums(np.multiply(r[t], d[t], out=products), inner)
+    for (t,) in _row_tiles(d.shape):
         d[t] -= inner
         d[t] *= r[t]
     return d

@@ -183,6 +183,17 @@ class TestProjection:
         with pytest.raises(NumericalError, match="projection"):
             attention.AttentionProjection(*mats)
 
+    @pytest.mark.parametrize("mode", ["full", "anchor"])
+    def test_width_disagreeing_with_tokens_is_named(self, mode):
+        """Tokens and anchors agree on 4 channels; the projection expects 5."""
+        proj = init_projection(5, 3, seed=0)
+        tokens = TokenMatrix(np.ones((2, 4)))
+        with pytest.raises(DimensionError, match="projection expects 5 channels, got 4"):
+            if mode == "full":
+                full_attention(tokens, proj)
+            else:
+                anchor_attention(tokens, np.ones((3, 4)), proj)
+
 
 class TestTiling:
     """The kernel walks the queries in row tiles of one reused buffer."""
@@ -492,3 +503,8 @@ class TestFlopCount:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             flop_count(10, 5, 4, 4, "sparse")
+
+    @pytest.mark.parametrize("width", [0, -5])
+    def test_hidden_width_below_one_rejected(self, width):
+        with pytest.raises(ConfigError, match="extents must be >= 1"):
+            flop_count(10, 4, 3, 1, "fphi", (width,))

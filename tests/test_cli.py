@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorkit import assignnet, attention, baselines, cli, compressor
+from anchorkit import assignnet, attention, baselines, cli, compressor, ddim
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.compressor import TrainRecord, TrainReport
@@ -599,10 +599,20 @@ def valid_args(tmp_path, tokens_file):
     }
 
 
-# every option that names a file the command writes, in table order
+# every option that names a file or directory the command writes, in table order
 OUTPUT_OPTIONS = [("gen", "out"), ("train", "checkpoint"), ("train", "report"),
                   ("compress", "out_r"), ("compress", "out_c"), ("bench", "out"),
-                  ("attend", "out")]
+                  ("ddim", "dump"), ("attend", "out")]
+# the places an output cannot be: ddim --dump names a directory, made with
+# any missing parents, and every other option a file
+BAD_OUTPUT_CASES = [(command, name, where) for command, name in OUTPUT_OPTIONS
+                    for where in (("a file", "under a file") if command == "ddim"
+                                  else ("in a missing directory", "a directory"))]
+
+
+def tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 class TestOutputPaths:
@@ -612,32 +622,35 @@ class TestOutputPaths:
 
     @pytest.fixture()
     def work(self, monkeypatch):
-        """Names of the training, compression, clustering and attention calls made."""
+        """Names of the training, compression, clustering, attention and trajectory calls made."""
         calls = []
         for module, name in [(compressor, "train"), (compressor, "compress"),
                              (baselines, "kmeans"), (attention, "full_attention"),
-                             (attention, "anchor_attention")]:
+                             (attention, "anchor_attention"), (ddim, "run_trajectory")]:
             monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
         return calls
 
-    @pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
-    @pytest.mark.parametrize("command,name", OUTPUT_OPTIONS)
+    @pytest.mark.parametrize("command,name,where", BAD_OUTPUT_CASES)
     def test_bad_output_path_exits_2_before_any_work(
         self, tmp_path, valid_args, capsys, work, command, name, where
     ):
         args = valid_args[command]
         flag = "--" + name.replace("_", "-")
+        path = tmp_path / "taken"
         if where == "a directory":
-            path = tmp_path / "taken"
             # gen's --out is a prefix: its tokens file is the directory
             Path(f"{path}.vlt" if command == "gen" else path).mkdir()
-        else:
+        elif where == "in a missing directory":
             path = tmp_path / "nodir" / "out"
+        else:
+            path.write_bytes(b"kept")
+            if where == "under a file":
+                path = path / "out"
         args[args.index(flag) + 1] = str(path)
-        before = sorted(tmp_path.rglob("*"))
+        before = tree(tmp_path)
         assert run_cli(command, *args) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
-        assert sorted(tmp_path.rglob("*")) == before
+        assert tree(tmp_path) == before
         assert work == []
 
 

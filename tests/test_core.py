@@ -24,7 +24,6 @@ from anchorkit.core import (
     TokenMatrix,
     TruncatedPayloadError,
     _encode_array,
-    _row_tiles,
     flatten,
     load_array,
     load_latent,
@@ -384,15 +383,6 @@ class TestWritersRefuseWhatTheReaderRejects:
         arr = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max], dtype=np.float64)
         save_array(tmp_path / "max.vlt", arr)
         np.testing.assert_array_equal(load_array(tmp_path / "max.vlt"), arr)
-
-
-class TestRowTiles:
-    """One rule sizes the objective's and the attention kernel's row tiles."""
-
-    @pytest.mark.parametrize("budget,rows", [(8 * 48 * 4, 4), (8 * 48 * 5 - 1, 4), (1, 1),
-                                             (2**40, 6)])
-    def test_rows_fit_the_budget_and_every_tile_starts_once(self, budget, rows):
-        assert _row_tiles((6, 48), budget) == (rows, range(0, 6, rows))
 
 
 # little-endian float32 signalling NaN, quiet NaN, +inf and -inf

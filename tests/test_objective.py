@@ -757,6 +757,26 @@ def straddling_ties():
     return np.stack([row, row, np.roll(row, 5), np.roll(row, 5), row, np.roll(row, 11)])
 
 
+class TestRowTileWalker:
+    """One helper walks the objective's row tiles and hands each tile its
+    views of the buffers that every tile reuses."""
+
+    @pytest.mark.parametrize("budget,rows", [(8 * 48 * 4, 4), (8 * 48 * 5 - 1, 4), (1, 1),
+                                             (2**40, 6)])
+    def test_rows_fit_the_budget_and_every_tile_starts_once(self, monkeypatch, budget, rows):
+        monkeypatch.setattr(objective, "_TILE_BYTES", budget)
+        tiles = list(objective._row_tiles((6, 48), float, bool))
+        assert [t for t, _, _ in tiles] == [slice(s, s + rows) for s in range(0, 6, rows)]
+        np.testing.assert_array_equal(np.concatenate([np.arange(6)[t] for t, _, _ in tiles]),
+                                      np.arange(6))
+        first_u, first_dead = tiles[0][1:]
+        for t, u, dead in tiles:
+            n = len(range(6)[t])
+            assert u.shape == dead.shape == (n, 48)
+            assert (u.dtype, dead.dtype) == (np.float64, bool)
+            assert np.shares_memory(u, first_u) and np.shares_memory(dead, first_dead)
+
+
 class TestRowTiles:
     """The elementwise passes walk the anchors in row tiles. Budgets of 1, 2,
     3 and 5 rows split the 6 anchors into several tiles, the last one
@@ -771,7 +791,7 @@ class TestRowTiles:
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     @pytest.mark.parametrize("quantised", [False, True])
     def test_total_loss_equals_two_pass_reference(self, rows_per_tile, mode, quantised):
-        assert objective._row_tiles((6, 48), objective._TILE_BYTES)[0] == rows_per_tile
+        assert next(objective._row_tiles((6, 48))) == (slice(0, rows_per_tile),)
         assert_total_loss_equals_two_pass_reference(mode, quantised)
 
     @pytest.mark.parametrize("case", ["random", "ties", "huge"])
