@@ -28,6 +28,7 @@ scales its matrix by ``LINEAR_GAIN``.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -217,12 +218,21 @@ def run_trajectory(
 
 def save_trajectory(directory, states: list[np.ndarray]) -> None:
     """Dump a trajectory as numbered VLT1 tensors plus an index manifest; every
-    record is checked before the directory is made, so a refused state leaves nothing."""
+    record is checked before the directory is made, so a refused state leaves nothing.
+    Once the new manifest is written, the state files that the directory's previous
+    manifest listed and this dump did not write are removed; no other file is touched."""
     out = Path(directory)
     names = [f"state_{i:04d}.vlt" for i in range(len(states))]
     records = [_checked_record(out / name, np.atleast_1d(np.asarray(state)))
                for name, state in zip(names, states)]
+    try:
+        listed = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError):
+        listed = []  # no readable earlier dump: nothing is stale
     out.mkdir(parents=True, exist_ok=True)
     for name, record in zip(names, records):
         (out / name).write_bytes(record)
     (out / "manifest.txt").write_text("".join(f"{n}\n" for n in names), encoding="utf-8")
+    for name in set(listed) - set(names):
+        if re.fullmatch(r"state_\d{4,}\.vlt", name) and (out / name).is_file():
+            (out / name).unlink()

@@ -379,36 +379,25 @@ def _anchor_mass(assignments: np.ndarray):
     return mass, ok, np.where(ok, mass, 1.0)
 
 
-def _moments(r: np.ndarray, anchors: np.ndarray, z2: np.ndarray):
-    """Responsibility-weighted token means and (floored, raw) variances per anchor
-    from float64 ``r``, its ``anchors`` and the squared tokens ``z2``, then
-    :func:`_anchor_mass`' three results. Anchors with mass below
-    ``DEGENERATE_MASS`` get mean 0 and variance equal to the floor.
-    """
-    mass, ok, safe_mass = _anchor_mass(r)
-    means = anchors / safe_mass[:, None]
-    second = (r @ z2) / safe_mass[:, None]
-    raw_var = second - means**2
-    means = np.where(ok[:, None], means, 0.0)
-    raw_var = np.where(ok[:, None], raw_var, VARIANCE_FLOOR)
-    variances = np.maximum(raw_var, VARIANCE_FLOOR)
-    return means, variances, raw_var, mass, ok, safe_mass
-
-
 def _gaussian(r: np.ndarray, tokens: TokenMatrix, anchors: np.ndarray):
     """Gaussian-prior regularizer of float64 ``r`` and its ``anchors``, and its logit gradient.
 
     Each anchor's posterior is the diagonal Gaussian matching its
     responsibility-weighted token moments (variances floored); the value
-    is the summed divergence from the standard normal. Anchors with no
-    responsibility mass contribute the prior-only constant (mean 0,
-    variance equal to the floor). The gradient is exact away from the
-    floor, where the variance path carries zero derivative (the floor is
-    a max); degenerate anchors are constant and contribute nothing.
+    is the summed divergence from the standard normal. An anchor with mass
+    below ``DEGENERATE_MASS`` gets mean 0 and variance equal to the floor,
+    so it contributes the prior-only constant. The gradient is exact away
+    from the floor, where the variance path carries zero derivative (the
+    floor is a max); degenerate anchors are constant and contribute nothing.
     """
     z = tokens.data
     z2 = z**2
-    means, variances, raw_var, _, ok, safe_mass = _moments(r, anchors, z2)
+    _, ok, safe_mass = _anchor_mass(r)
+    means = anchors / safe_mass[:, None]
+    raw_var = (r @ z2) / safe_mass[:, None] - means**2
+    means = np.where(ok[:, None], means, 0.0)
+    raw_var = np.where(ok[:, None], raw_var, VARIANCE_FLOOR)
+    variances = np.maximum(raw_var, VARIANCE_FLOOR)
     value = gaussian_kl_closed_form(means, variances)
 
     # dKL/dvar through the floor: zero where the floor is active

@@ -30,6 +30,7 @@ from anchorkit.objective import (
     soft_assign,
     total_loss,
 )
+from reference import oracle
 
 
 def report(num, name, ok, detail):
@@ -314,25 +315,12 @@ class TestCriterion9AttentionEquivalence:
                 worst_equiv, float(np.abs(out_anchor.data - out_full.data).max())
             )
 
-            z = tokens.data
-            q, k, v = z @ proj.w_query, z @ proj.w_key, z @ proj.w_value
-            naive = np.zeros((5, 3))
-            for i in range(5):
-                scores = np.array([q[i] @ k[j] / np.sqrt(3) for j in range(5)])
-                scores -= scores.max()
-                w = np.exp(scores) / np.exp(scores).sum()
-                naive[i] = sum(w[j] * v[j] for j in range(5))
+            naive = oracle("full", tokens.data, None, proj)
             worst_full = max(worst_full, float(np.abs(out_full.data - naive).max()))
 
             anchors = rng.standard_normal((3, 4))
             out_a = attention.anchor_attention(tokens, anchors, proj)
-            ka, va = anchors @ proj.w_key, anchors @ proj.w_value
-            naive_a = np.zeros((5, 3))
-            for i in range(5):
-                scores = np.array([q[i] @ ka[j] / np.sqrt(3) for j in range(3)])
-                scores -= scores.max()
-                w = np.exp(scores) / np.exp(scores).sum()
-                naive_a[i] = sum(w[j] * va[j] for j in range(3))
+            naive_a = oracle("anchor", tokens.data, anchors, proj)
             worst_anchor = max(worst_anchor, float(np.abs(out_a.data - naive_a).max()))
 
         ok = max(worst_equiv, worst_full, worst_anchor) <= 1e-12

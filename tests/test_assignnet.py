@@ -20,6 +20,7 @@ from anchorkit.assignnet import (
 from anchorkit.core import (
     ConfigError, DimensionError, FormatError, TokenMatrix, _encode_array, seeded_rng,
 )
+from reference import reference_backprop, reference_forward
 
 
 def single_layer(weight, bias=None):
@@ -122,31 +123,6 @@ class TestBackward:
                 assert np.abs(analytic - fd).max() / scale < 1e-6
 
 
-def reference_forward_cached(net, tokens):
-    """The forward pass with a fresh array per operation, as it was before
-    the bias add and the tanh ran in the product's buffer."""
-    acts = [tokens.data.T]
-    x = acts[0]
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        pre = layer.weight @ x + layer.bias[:, None]
-        x = np.tanh(pre) if i < last else pre
-        acts.append(x)
-    return acts
-
-
-def reference_backprop(net, acts, upstream):
-    """The backward loop with a fresh array per operation."""
-    grads = []
-    delta = upstream
-    for i in range(len(net.layers) - 1, -1, -1):
-        grads.append((delta @ acts[i].T, delta.sum(axis=1)))
-        if i > 0:
-            delta = (net.layers[i].weight.T @ delta) * (1.0 - acts[i] ** 2)
-    grads.reverse()
-    return tuple(grads)
-
-
 class TestInPlaceLayers:
     """The in-place forward and backward passes match the one-array-per-
     operation reference bit for bit and never write their inputs."""
@@ -159,7 +135,7 @@ class TestInPlaceLayers:
         tokens = TokenMatrix(scale * rng.standard_normal((40, 5)))
         upstream = scale * rng.standard_normal((7, 40))
         acts = _forward_cached(net, tokens)
-        ref_acts = reference_forward_cached(net, tokens)
+        ref_acts = reference_forward(net, tokens.data)
         assert len(acts) == len(ref_acts)
         for got, want in zip(acts, ref_acts):
             np.testing.assert_array_equal(got, want)
@@ -205,7 +181,7 @@ class TestInPlaceLayers:
         acts = _forward_cached(net, tokens)
         kept = [acts[0].copy(), acts[-1].copy(), upstream.copy()]
         params = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
-        want = reference_backprop(net, reference_forward_cached(net, tokens), upstream)
+        want = reference_backprop(net, reference_forward(net, tokens.data), upstream)
         for got, ref in zip(_backprop(net, acts, upstream), want):
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])

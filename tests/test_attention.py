@@ -24,19 +24,14 @@ from anchorkit.core import (
     TokenMatrix,
     seeded_rng,
 )
+from reference import oracle
 
 
-def naive_attention(queries, keys, values):
-    """Definitional triple loop with per-row softmax."""
-    m, d = queries.shape
-    out = np.zeros((m, values.shape[1]))
-    for i in range(m):
-        scores = np.array([queries[i] @ keys[j] / np.sqrt(d) for j in range(keys.shape[0])])
-        scores -= scores.max()
-        weights = np.exp(scores) / np.exp(scores).sum()
-        for j in range(keys.shape[0]):
-            out[i] += weights[j] * values[j]
-    return out
+def attend(mode, tokens, anchors, proj):
+    """The package kernel of ``mode``, "full" or "anchor", on plain arrays."""
+    if mode == "full":
+        return full_attention(TokenMatrix(tokens), proj).data
+    return anchor_attention(TokenMatrix(tokens), anchors, proj).data
 
 
 class TestAlign:
@@ -97,9 +92,7 @@ class TestFullAttention:
         proj = init_projection(4, 3, seed=2)
         tokens = TokenMatrix(rng.standard_normal((5, 4)))
         out = full_attention(tokens, proj)
-        z = tokens.data
-        expected = naive_attention(z @ proj.w_query, z @ proj.w_key, z @ proj.w_value)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, oracle("full", tokens.data, None, proj), atol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = seeded_rng(5)
@@ -142,9 +135,7 @@ class TestAnchorAttention:
         tokens = TokenMatrix(rng.standard_normal((5, 4)))
         anchors = rng.standard_normal((3, 4))
         out = anchor_attention(tokens, anchors, proj)
-        expected = naive_attention(
-            tokens.data @ proj.w_query, anchors @ proj.w_key, anchors @ proj.w_value
-        )
+        expected = oracle("anchor", tokens.data, anchors, proj)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_invariant_to_anchor_permutation(self):
@@ -187,12 +178,8 @@ class TestProjection:
     def test_width_disagreeing_with_tokens_is_named(self, mode):
         """Tokens and anchors agree on 4 channels; the projection expects 5."""
         proj = init_projection(5, 3, seed=0)
-        tokens = TokenMatrix(np.ones((2, 4)))
         with pytest.raises(DimensionError, match="projection expects 5 channels, got 4"):
-            if mode == "full":
-                full_attention(tokens, proj)
-            else:
-                anchor_attention(tokens, np.ones((3, 4)), proj)
+            attend(mode, np.ones((2, 4)), np.ones((3, 4)), proj)
 
 
 class TestTiling:
@@ -206,22 +193,12 @@ class TestTiling:
     def test_ragged_tiles_match_oracle_and_single_tile(self, monkeypatch, mode, rows_per_tile):
         rng = seeded_rng(15)
         proj = init_projection(4, 3, seed=8)
-        tokens = TokenMatrix(rng.standard_normal((self.M, 4)))
+        tokens = rng.standard_normal((self.M, 4))
         anchors = rng.standard_normal((3, 4))
-        keys_from = tokens.data if mode == "full" else anchors
-
-        def run():
-            if mode == "full":
-                return full_attention(tokens, proj).data
-            return anchor_attention(tokens, anchors, proj).data
-
-        single = run()  # default tile: every row in one tile
+        single = attend(mode, tokens, anchors, proj)  # default tile: every row in one tile
         monkeypatch.setattr(attention, "_TILE_ROWS", math.ceil(rows_per_tile))
-        tiled = run()
-        expected = naive_attention(
-            tokens.data @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
-        )
-        np.testing.assert_allclose(tiled, expected, atol=1e-12)
+        tiled = attend(mode, tokens, anchors, proj)
+        np.testing.assert_allclose(tiled, oracle(mode, tokens, anchors, proj), atol=1e-12)
         np.testing.assert_allclose(tiled, single, atol=1e-12)
 
     def test_peak_memory_is_one_tile_plus_linear_terms(self):
@@ -248,19 +225,13 @@ class TestTileRows:
         """Rows 1 and 3 go through OpenBLAS's vector and edge kernels, whose
         bits differ; TestTiling holds them to the oracle's tolerance."""
         rng = seeded_rng(21)
-        tokens = TokenMatrix(rng.standard_normal((1024, 16)))
+        tokens = rng.standard_normal((1024, 16))
         anchors = rng.standard_normal((64, 16))
         proj = init_projection(16, 16, seed=11)
-
-        def run():
-            if mode == "full":
-                return full_attention(tokens, proj).data.tobytes()
-            return anchor_attention(tokens, anchors, proj).data.tobytes()
-
         monkeypatch.setattr(attention, "_TILE_ROWS", 1024)
-        single = run()
+        single = attend(mode, tokens, anchors, proj).tobytes()
         monkeypatch.setattr(attention, "_TILE_ROWS", rows)
-        assert run() == single
+        assert attend(mode, tokens, anchors, proj).tobytes() == single
 
     def test_anchor_attention_peak_at_inference_shapes(self):
         """M=8192, A=512, c=d=64: the (M, d+1) queries, one 512 x 512 score
@@ -287,19 +258,6 @@ class TestKeyBlocks:
     M = 7
 
     @staticmethod
-    def run(mode, tokens, anchors, proj):
-        if mode == "full":
-            return full_attention(TokenMatrix(tokens), proj).data
-        return anchor_attention(TokenMatrix(tokens), anchors, proj).data
-
-    @staticmethod
-    def oracle(mode, tokens, anchors, proj):
-        keys_from = tokens if mode == "full" else anchors
-        return naive_attention(
-            tokens @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
-        )
-
-    @staticmethod
     def block(monkeypatch, key_block, rows_per_tile):
         monkeypatch.setattr(attention, "_KEY_BLOCK", key_block)
         monkeypatch.setattr(attention, "_TILE_ROWS", rows_per_tile)
@@ -315,11 +273,11 @@ class TestKeyBlocks:
         tokens = rng.standard_normal((self.M, 4))
         anchors = rng.standard_normal((self.M, 4))
         proj = init_projection(4, 3, seed=9)
-        single = self.run(mode, tokens, anchors, proj)
+        single = attend(mode, tokens, anchors, proj)
         self.block(monkeypatch, key_block, rows_per_tile)
-        blocked = self.run(mode, tokens, anchors, proj)
+        blocked = attend(mode, tokens, anchors, proj)
         np.testing.assert_allclose(
-            blocked, self.oracle(mode, tokens, anchors, proj), rtol=1e-9, atol=1e-12
+            blocked, oracle(mode, tokens, anchors, proj), rtol=1e-9, atol=1e-12
         )
         np.testing.assert_allclose(blocked, single, rtol=1e-9, atol=1e-12)
 
@@ -337,7 +295,7 @@ class TestKeyBlocks:
         else:
             anchors[0] *= 300
         proj = init_projection(4, 3, seed=8)
-        single = self.run(mode, tokens, anchors, proj)
+        single = attend(mode, tokens, anchors, proj)
         seen = []
 
         def spy(queries, *args):
@@ -348,10 +306,10 @@ class TestKeyBlocks:
         monkeypatch.setattr(attention, "_row_max", spy)
         self.block(monkeypatch, key_block, rows_per_tile)
         assert key_block * rows_per_tile < self.M
-        blocked = self.run(mode, tokens, anchors, proj)
+        blocked = attend(mode, tokens, anchors, proj)
         assert 0 < sum(seen) < self.M
         np.testing.assert_allclose(
-            blocked, self.oracle(mode, tokens, anchors, proj), rtol=1e-9, atol=1e-12
+            blocked, oracle(mode, tokens, anchors, proj), rtol=1e-9, atol=1e-12
         )
         np.testing.assert_allclose(blocked, single, rtol=1e-9, atol=1e-12)
 
@@ -363,8 +321,8 @@ class TestKeyBlocks:
         anchors = rng.standard_normal((self.M, 4))
         proj = init_projection(4, 3, seed=10)
         self.block(monkeypatch, key_block, 2)
-        first = self.run(mode, tokens, anchors, proj)
-        second = self.run(mode, tokens, anchors, proj)
+        first = attend(mode, tokens, anchors, proj)
+        second = attend(mode, tokens, anchors, proj)
         assert first.tobytes() == second.tobytes()
 
     # scale 1e3 sends every row through the exact path
@@ -405,25 +363,13 @@ class TestExactFallback:
         monkeypatch.setattr(attention, "_row_max", spy)
         return lambda: sum(seen)
 
-    @staticmethod
-    def attend_and_oracle(mode, tokens, anchors, proj):
-        keys_from = tokens if mode == "full" else anchors
-        if mode == "full":
-            out = full_attention(TokenMatrix(tokens), proj).data
-        else:
-            out = anchor_attention(TokenMatrix(tokens), anchors, proj).data
-        expected = naive_attention(
-            tokens @ proj.w_query, keys_from @ proj.w_key, keys_from @ proj.w_value
-        )
-        return out, expected
-
     @pytest.mark.parametrize("mode", ["full", "anchor"])
     def test_scaled_tokens_take_the_exact_path_for_every_row(self, exact_rows, mode):
         rng = seeded_rng(17)
         tokens = 1e3 * rng.standard_normal((self.M, 4))
         anchors = 1e3 * rng.standard_normal((3, 4))
         proj = init_projection(4, 3, seed=8)
-        out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
+        out, expected = attend(mode, tokens, anchors, proj), oracle(mode, tokens, anchors, proj)
         assert exact_rows() == self.M
         np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
 
@@ -443,7 +389,7 @@ class TestExactFallback:
             anchors[0] *= 300
         monkeypatch.setattr(attention, "_TILE_ROWS", rows_per_tile)
         proj = init_projection(4, 3, seed=8)
-        out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
+        out, expected = attend(mode, tokens, anchors, proj), oracle(mode, tokens, anchors, proj)
         assert 0 < exact_rows() < self.M
         np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
 
@@ -454,7 +400,7 @@ class TestExactFallback:
         proj = attention.AttentionProjection(w_query, np.zeros((4, 3)), w_value)
         tokens = rng.standard_normal((self.M, 4))
         anchors = rng.standard_normal((3, 4))
-        out, expected = self.attend_and_oracle(mode, tokens, anchors, proj)
+        out, expected = attend(mode, tokens, anchors, proj), oracle(mode, tokens, anchors, proj)
         keys_from = tokens if mode == "full" else anchors
         assert exact_rows() == 0
         np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)

@@ -402,6 +402,16 @@ class TestDdim:
         assert (dump / "manifest.txt").exists()
         assert len(list(dump.glob("state_*.vlt"))) == 4
 
+    def test_shorter_dump_removes_the_earlier_dumps_extra_states(self, tmp_path):
+        dump = tmp_path / "traj"
+        dump.mkdir()
+        (dump / "notes.txt").write_text("kept")
+        for steps in ("6", "2"):
+            assert run_cli("ddim", "--steps", steps, "--dump", str(dump)) == 0
+        want = {"manifest.txt", "notes.txt", *(f"state_{i:04d}.vlt" for i in range(3))}
+        assert {p.name for p in dump.iterdir()} == want
+        assert (dump / "notes.txt").read_text() == "kept"
+
     @pytest.mark.parametrize("flag,value,named", [
         ("--dim", "0", "--dim"),
         ("--dim", "-2", "--dim"),
@@ -830,11 +840,18 @@ class TestSettingSources:
         assert named in capsys.readouterr().err.splitlines()[-1]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    """The README's fenced ``language`` blocks, in order."""
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
 def readme_commands():
     """Every ``anchorkit`` command in the README's ``sh`` blocks, continuations joined."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+    for block in readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             while words and re.fullmatch(r"[A-Z_]+=\S*", words[0]):
@@ -859,6 +876,17 @@ class TestReadme:
             except SystemExit:
                 pytest.fail(f"README example {words} does not parse: {capsys.readouterr().err}")
             resolve_options(args.command, args)  # every value converts
+
+    @pytest.mark.slow
+    def test_library_quick_start_runs(self):
+        """The ``python`` blocks run in order in one namespace, as a reader
+        pastes them."""
+        namespace = {}
+        for block in readme_blocks("python"):
+            exec(compile(block, str(README), "exec"), namespace)
+        tokens = namespace["data"].tokens
+        assert namespace["fast"].data.shape == namespace["slow"].data.shape == (
+            tokens.num_tokens, 8)
 
 
 class TestUsage:

@@ -68,9 +68,14 @@ class TestContainers:
             TokenMatrix._adopt(arr)
 
     @CONTAINERS
-    def test_rejects_a_zero_extent(self, container, rank):
-        with pytest.raises(DimensionError):
-            container(np.ones((2,) * (rank - 1) + (0,)))
+    @pytest.mark.parametrize("adopt", [False, True], ids=["constructor", "adopt"])
+    @pytest.mark.parametrize("bad", ["nan", "wrong-rank", "zero-extent"])
+    def test_rejects_nan_wrong_rank_and_zero_extent(self, container, rank, adopt, bad):
+        arr = {"nan": np.full((2,) * rank, np.nan),
+               "wrong-rank": np.ones((2,) * (rank - 1)),
+               "zero-extent": np.ones((2,) * (rank - 1) + (0,))}[bad]
+        with pytest.raises(NumericalError if bad == "nan" else DimensionError):
+            (container._adopt if adopt else container)(arr)
 
     @CONTAINERS
     def test_holds_a_frozen_copy(self, container, rank):
@@ -83,46 +88,11 @@ class TestContainers:
         with pytest.raises(ValueError):
             held.data[(0,) * rank] = 9.0
 
-    def test_token_matrix_rejects_nan(self):
-        with pytest.raises(NumericalError):
-            TokenMatrix([[1.0, np.nan]])
-
-    def test_token_matrix_rejects_empty(self):
-        with pytest.raises(DimensionError):
-            TokenMatrix(np.zeros((0, 3)))
-
-    def test_token_matrix_is_immutable(self):
-        tm = TokenMatrix([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            tm.data[0, 0] = 9.0
-
-    def test_adopted_token_matrix_holds_its_array_frozen(self):
-        arr = np.ones((2, 3))
-        tm = TokenMatrix._adopt(arr)
-        assert tm.data is arr and not arr.flags.writeable
-
-    def test_adopted_latent_tensor_holds_its_array_frozen(self):
-        arr = np.ones((2, 3, 1, 2))
-        lat = LatentTensor._adopt(arr)
-        assert type(lat) is LatentTensor and lat.data is arr and not arr.flags.writeable
-
-    @pytest.mark.parametrize("arr,error", [(np.array([[1.0, np.nan]]), NumericalError),
-                                           (np.ones((2, 2, 1)), DimensionError),
-                                           (np.ones((0, 3)), DimensionError)])
-    def test_adopted_token_matrix_keeps_the_checks(self, arr, error):
-        with pytest.raises(error):
-            TokenMatrix._adopt(arr)
-
-    @pytest.mark.parametrize("arr,error", [(np.full((1, 1, 1, 2), np.inf), NumericalError),
-                                           (np.ones((2, 2)), DimensionError),
-                                           (np.ones((1, 0, 2, 2)), DimensionError)])
-    def test_adopted_latent_tensor_keeps_the_checks(self, arr, error):
-        with pytest.raises(error):
-            LatentTensor._adopt(arr)
-
-    def test_latent_tensor_rejects_wrong_rank(self):
-        with pytest.raises(DimensionError):
-            LatentTensor(np.zeros((2, 2, 2)))
+    @CONTAINERS
+    def test_adopted_array_is_held_frozen(self, container, rank):
+        arr = np.ones((2,) * rank)
+        held = container._adopt(arr)
+        assert type(held) is container and held.data is arr and not arr.flags.writeable
 
 
 class TestFlatten:
