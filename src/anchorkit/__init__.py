@@ -84,7 +84,6 @@ from .objective import (
     contrastive_grad,
     contrastive_loss,
     contrastive_value_and_grad,
-    cosine_sim,
     gaussian_kl_closed_form,
     kl_uniform,
     kl_uniform_grad,

@@ -17,7 +17,6 @@ activations' own arrays.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,34 +242,35 @@ def adam_step(
     return AssignmentNetwork(tuple(new_layers)), new_state
 
 
+def _manifest(step_count: int, shapes) -> bytes:
+    """The checkpoint manifest's exact bytes, the only spelling of its lines."""
+    layer_lines = "".join(f"layer {out_dim} {in_dim}\n" for out_dim, in_dim in shapes)
+    return (f"anchorkit-checkpoint v1\nactivation {ACTIVATION}\nstep_count {step_count}\n"
+            f"layers {len(shapes)}\n{layer_lines}end\n").encode("utf-8")
+
+
 def save_checkpoint(path, net: AssignmentNetwork, step_count: int = 0) -> None:
     """Write a checkpoint: plain-text manifest, then VLT1 tensors.
 
-    The manifest records the layer shapes, the activation tag, and the
-    optimizer step count; each layer's weight then bias follow as VLT1
-    records in layer order. A record that :func:`load_checkpoint` would
-    reject raises before the file is opened.
+    The manifest records the activation tag, the optimizer step count and
+    the layer shapes; each layer's weight then bias follow as VLT1 records
+    in layer order. A negative step count, or a record that
+    :func:`load_checkpoint` would reject, raises before the file is opened.
     """
-    lines = [
-        "anchorkit-checkpoint v1",
-        f"activation {ACTIVATION}",
-        f"step_count {int(step_count)}",
-        f"layers {len(net.layers)}",
-    ]
+    step_count = int(step_count)
+    if step_count < 0:
+        raise FormatError(f"cannot write {path}: negative step count {step_count}")
+    blob = _manifest(step_count, [layer.weight.shape for layer in net.layers])
     for layer in net.layers:
-        lines.append(f"layer {layer.weight.shape[0]} {layer.weight.shape[1]}")
-    lines.append("end")
-    blob = io.BytesIO()
-    blob.write(("\n".join(lines) + "\n").encode("utf-8"))
-    for layer in net.layers:
-        blob.write(_checked_record(path, layer.weight))
-        blob.write(_checked_record(path, layer.bias))
+        blob += _checked_record(path, layer.weight) + _checked_record(path, layer.bias)
     with open(path, "wb") as fh:
-        fh.write(blob.getvalue())
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`. Its manifest must be
+    the exact bytes written for the step count and layer shapes it states: any
+    other layout, spelling, spacing or line order raises :class:`FormatError`."""
     with open(path, "rb") as fh:
         buf = fh.read()
     end_marker = b"\nend\n"
@@ -278,29 +278,24 @@ def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
     if head_end < 0:
         raise FormatError("checkpoint manifest has no end marker")
     offset = head_end + len(end_marker)
-    meta = {}
-    shapes = []
     try:
-        manifest = buf[:head_end].decode("utf-8").splitlines()
-        if not manifest or manifest[0] != "anchorkit-checkpoint v1":
+        head = buf[:head_end].decode("utf-8").split("\n")
+        if head[0] != "anchorkit-checkpoint v1":
             raise FormatError("not an anchorkit checkpoint")
-        for line in manifest[1:]:
-            key, _, value = line.partition(" ")
-            if key == "layer":
-                out_dim, in_dim = value.split()
-                shapes.append((int(out_dim), int(in_dim)))
-            else:
-                meta[key] = value
-        n_layers = int(meta.get("layers", -1))
-        step_count = int(meta.get("step_count", 0))
+        _, activation, steps, count, *rows = head
+        step_count = int(steps.removeprefix("step_count "))
+        n_layers = int(count.removeprefix("layers "))
+        shapes = [(int(out_dim), int(in_dim)) for _, out_dim, in_dim in map(str.split, rows)]
     except ValueError as exc:  # UnicodeDecodeError is a ValueError too
         raise FormatError(f"malformed checkpoint manifest: {exc}") from None
-    if meta.get("activation") != ACTIVATION:
-        raise FormatError(f"unsupported activation {meta.get('activation')!r}")
-    if n_layers != len(shapes):
-        raise FormatError("manifest layer count disagrees with layer lines")
+    if activation != f"activation {ACTIVATION}":
+        raise FormatError(f"unsupported activation {activation.removeprefix('activation ')!r}")
     if step_count < 0:
         raise FormatError(f"negative step count {step_count}")
+    if n_layers != len(shapes):
+        raise FormatError("manifest layer count disagrees with layer lines")
+    if buf[:offset] != _manifest(step_count, shapes):
+        raise FormatError("malformed checkpoint manifest")
     layers = []
     for out_dim, in_dim in shapes:
         weight, offset = _decode_array(buf, offset)

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
     text = Path(path).read_text(encoding="utf-8")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -242,7 +242,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key} repeats line {values[key][0]}")
+        values[key] = (lineno, value.strip())
     return values
 
 
@@ -263,7 +266,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
                 value = flag_value if opt.is_flag else opt.conv(flag_value)
             elif name in file_values:
                 source = f"{args.config} key {name}"
-                value = opt.conv(file_values[name])
+                value = opt.conv(file_values[name][1])
             elif name == "seed" and env_seed:
                 source = SEED_ENV_VAR
                 value = opt.conv(env_seed)

@@ -216,16 +216,6 @@ def _add_kl_grad(r: np.ndarray, column_sums: np.ndarray, weight: float,
         grad[t] += u
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u| |v| + eps); the epsilon guards zero-norm inputs."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise DimensionError(f"vector lengths differ: {u.shape} vs {v.shape}")
-    denom = np.linalg.norm(u) * np.linalg.norm(v) + SIM_EPSILON
-    return float(u @ v / denom)
-
-
 def _top_k_mask(assignments: np.ndarray, k: int, out=None) -> np.ndarray:
     """Boolean mask of each row's top-k token set, in ``out`` if given.
 

@@ -73,6 +73,11 @@ def reference_kl_uniform_value_and_grad(r):
     return value, softmax_backward(r, log_ratio + mask)
 
 
+def reference_cosine(u, v):
+    """The cosine similarity of two vectors, u.v / (|u| |v| + eps)."""
+    return u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + SIM_EPSILON)
+
+
 def reference_contrastive_value_and_grad(r, z, cfg):
     """The top-k contrastive term of assignments ``r`` over tokens ``z``, and
     its logit gradient through the pooled anchors r @ z, top-k sets fixed."""

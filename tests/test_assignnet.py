@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anchorkit.assignnet import (
     AdamParams,
@@ -9,6 +11,7 @@ from anchorkit.assignnet import (
     Layer,
     _backprop,
     _forward_cached,
+    _manifest,
     adam_step,
     backward,
     forward,
@@ -294,6 +297,19 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
 
+    @settings(derandomize=True, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=st.integers(0, 2**31 - 1),
+           widths=st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    def test_round_trip_of_any_manifest(self, tmp_path, steps, widths):
+        """1-3 layers of widths 1-6: the head is the manifest's exact bytes."""
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_network(widths[0], widths[-1], widths[1:-1]), steps)
+        loaded, loaded_steps = load_checkpoint(path)
+        shapes = [l.weight.shape for l in loaded.layers]
+        assert (shapes, loaded_steps) == (list(zip(widths[1:], widths[:-1])), steps)
+        assert path.read_bytes().startswith(_manifest(steps, shapes))
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         net = init_network(2, 3, seed=4)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -312,9 +328,19 @@ class TestCheckpoint:
         (b"layers 1\n", b"layers 2\n", "layer count"),
         (b"layer 2 3\n", b"layer 3 2\n", "tensor shapes"),
         (b"step_count 5\n", b"step_count -7\n", "negative step count"),
+        (b"step_count 5\n", b"step_count 5\nseed 0\n", "malformed"),
+        (b"step_count 5\n", b"step_count 5\nstep_count 9\n", "malformed"),
+        (b"step_count 5\n", b"", "malformed"),
+        (b"activation tanh\nstep_count 5\n", b"step_count 5\nactivation tanh\n", "malformed"),
+        (b"layers 1\n", b"layers 1\n\n", "malformed"),
+        (b"layers 1\nlayer 2 3\n", b"layer 2 3\nlayers 1\n", "malformed"),
+        (b"layers 1\n", b"layers 1 \n", "malformed"),
+        (b"step_count 5\n", b"step_count +05\n", "malformed"),
     ], ids=["layer-count-not-int", "layer-line-one-field", "non-utf8-header", "non-utf8-value",
             "no-end-marker", "wrong-first-line", "unsupported-activation",
-            "layer-count-mismatch", "shapes-disagree", "negative-step-count"])
+            "layer-count-mismatch", "shapes-disagree", "negative-step-count", "unknown-key",
+            "step-count-twice", "no-step-count", "lines-swapped", "blank-line",
+            "layers-after-layer-lines", "trailing-space", "signed-step-count"])
     def test_malformed_manifest_raises_format_error(self, tmp_path, old, new, message):
         net = init_network(3, 2, hidden_dims=(), seed=4)
         path = tmp_path / "net.ckpt"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorkit import assignnet, attention, baselines, cli, compressor, ddim
+from anchorkit import assignnet, attention, baselines, compressor, ddim
 from anchorkit.assignnet import Layer, AssignmentNetwork, save_checkpoint
 from anchorkit.cli import OPTIONS, build_parser, main, resolve_options
 from anchorkit.compressor import TrainRecord, TrainReport
@@ -28,19 +28,6 @@ def read_csv(path):
 
 
 class TestGen:
-    def test_mixture_writes_two_files_deterministically(self, tmp_path):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        args = ["gen", "--mixture", "--clusters", "8", "--seed", "1"]
-        assert run_cli(*args, "--out", str(out1)) == 0
-        assert run_cli(*args, "--out", str(out2)) == 0
-        assert (out1.with_suffix(".vlt")).read_bytes() == (out2.with_suffix(".vlt")).read_bytes()
-        assert (tmp_path / "a_labels.csv").read_text() == (tmp_path / "b_labels.csv").read_text()
-
-    def test_invalid_cluster_count_exits_2(self, tmp_path):
-        code = run_cli("gen", "--mixture", "--clusters", "0", "--out", str(tmp_path / "x"))
-        assert code == 2
-
     def test_drift_video_written(self, tmp_path):
         out = tmp_path / "vid"
         assert run_cli("gen", "--drift", "--frames", "3", "--height", "8", "--width", "8",
@@ -78,20 +65,12 @@ class TestGen:
         assert run_cli("gen", "--out", str(tmp_path / "x")) == 2
         assert run_cli("gen", "--mixture", "--drift", "--out", str(tmp_path / "x")) == 2
 
-    # non-finite or negative values are named by their flag; finite values the
-    # option table accepts but the library cannot use are named by its field
+    # finite values the option table accepts but the library cannot use are
+    # named by the library field
     @pytest.mark.parametrize("kind,flag,value,field", [
-        ("--mixture", "--center-scale", "inf", "--center-scale"),
-        ("--mixture", "--center-scale", "-1", "--center-scale"),
-        ("--mixture", "--center-scale", "nan", "--center-scale"),
         ("--mixture", "--center-scale", "1e308", "center_scale"),
-        ("--mixture", "--noise-sigma", "nan", "--noise-sigma"),
-        ("--mixture", "--noise-sigma", "inf", "--noise-sigma"),
-        ("--mixture", "--noise-sigma", "-0.5", "--noise-sigma"),
         ("--drift", "--drift-per-frame", "1e300", "drift_per_frame"),
         ("--drift", "--drift-per-frame", "-1e300", "drift_per_frame"),
-        ("--drift", "--drift-per-frame", "nan", "--drift-per-frame"),
-        ("--drift", "--drift-per-frame", "inf", "--drift-per-frame"),
     ])
     def test_bad_spread_or_drift_exits_2_naming_the_field(
         self, tmp_path, capsys, kind, flag, value, field
@@ -158,47 +137,6 @@ class TestTrain:
         _, steps = load_checkpoint(ckpt)
         assert steps == 1
 
-    def test_prior_none_rejected_before_reading_input(self, tmp_path, capsys):
-        """A zero --lambda-vi is the one way to turn the regularizer off;
-        the bad mode is reported, not the missing input file."""
-        code = run_cli("train", "--input", str(tmp_path / "missing.vlt"), "--prior", "none")
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert "categorical" in err and "gaussian" in err
-        assert "missing.vlt" not in err
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--lambda-vi", "nan"), ("--lambda-vi", "inf"), ("--temperature", "inf"),
-    ])
-    def test_non_finite_setting_rejected_before_reading_input(
-        self, tmp_path, capsys, flag, value
-    ):
-        code = run_cli("train", "--input", str(tmp_path / "missing.vlt"), flag, value)
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert "finite" in err
-        assert "missing.vlt" not in err
-
-    @pytest.mark.parametrize("hidden", ["0", "8,-1"])
-    def test_bad_hidden_width_rejected_before_reading_input(self, tmp_path, capsys, hidden):
-        code = run_cli("train", "--input", str(tmp_path / "missing.vlt"), "--hidden", hidden)
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert "--hidden" in err
-        assert "missing.vlt" not in err
-
-    @pytest.mark.parametrize("steps,log_every", [(10, 3), (8, 4), (5, 50)])
-    def test_report_row_count(self, tmp_path, tokens_file, steps, log_every):
-        rep = tmp_path / "r.csv"
-        assert run_cli(
-            "train", "--input", str(tokens_file), "--steps", str(steps),
-            "--log-every", str(log_every), "--anchors", "4", "--hidden", "8",
-            "--report", str(rep), "--seed", "1",
-        ) == 0
-        rows = read_csv(rep)
-        assert rows[0] == ["step", "total", "contrastive", "regularizer", "entropy"]
-        assert len(rows) - 1 == -(-steps // log_every)
-
     @pytest.mark.parametrize("extra", [("--top-k", "65"), ("--top-k", "11", "--subsample", "10")],
                              ids=["top-k-over-token-count", "top-k-over-subsample"])
     def test_top_k_over_batch_rejected_before_network_is_built(
@@ -226,19 +164,6 @@ class TestTrain:
         assert code == 3
         err = capsys.readouterr().err
         assert "step" in err
-
-    def test_determinism_byte_identical_artifacts(self, tmp_path, tokens_file):
-        outs = []
-        for name in ("one", "two"):
-            ckpt = tmp_path / f"{name}.ckpt"
-            rep = tmp_path / f"{name}.csv"
-            assert run_cli(
-                "train", "--input", str(tokens_file), "--steps", "5", "--anchors", "4",
-                "--hidden", "8", "--checkpoint", str(ckpt), "--report", str(rep),
-                "--seed", "42",
-            ) == 0
-            outs.append((ckpt.read_bytes(), rep.read_text()))
-        assert outs[0] == outs[1]
 
     def test_resume_accumulates_step_count(self, tmp_path, tokens_file):
         first = tmp_path / "first.ckpt"
@@ -303,20 +228,6 @@ class TestCompress:
         assert run_cli("compress", "--input", str(tokens_file),
                        "--checkpoint", str(ckpt)) == 2
 
-    def test_repeat_is_byte_identical(self, tmp_path, tokens_file):
-        ckpt = tmp_path / "net.ckpt"
-        run_cli("train", "--input", str(tokens_file), "--steps", "2", "--anchors", "4",
-                "--hidden", "8", "--checkpoint", str(ckpt), "--seed", "0")
-        blobs = []
-        for name in ("p", "q"):
-            out_r = tmp_path / f"{name}_r.vlt"
-            out_c = tmp_path / f"{name}_c.vlt"
-            assert run_cli("compress", "--input", str(tokens_file),
-                           "--checkpoint", str(ckpt), "--out-r", str(out_r),
-                           "--out-c", str(out_c), "--seed", "0") == 0
-            blobs.append((out_r.read_bytes(), out_c.read_bytes()))
-        assert blobs[0] == blobs[1]
-
 
 class TestBench:
     def test_csv_rows_and_flop_column(self, tmp_path):
@@ -332,29 +243,6 @@ class TestBench:
         for mode, m, a, c, d, wall_ns, flops in body:
             assert int(flops) == flop_count(int(m), int(a), int(c), int(d), mode)
             assert int(wall_ns) > 0
-
-    @pytest.mark.parametrize("flag,value,named", [
-        ("--modes", "full,bogus", "bogus"),
-        ("--m-values", "64,0", "--m-values"),
-        ("--anchors", "0", "--anchors"),
-        ("--repeats", "0", "--repeats"),
-        ("--repeats", "-5", "--repeats"),
-        ("--channels", "0", "--channels"),
-        ("--proj-dim", "0", "--proj-dim"),
-    ])
-    def test_bad_setting_rejected_before_timing(self, monkeypatch, capsys, flag, value, named):
-        timed = []
-        monkeypatch.setattr(cli, "_time_best", lambda fn, repeats: timed.append(fn) or 1)
-        settings = {"--m-values": "64", "--anchors": "16", "--modes": "full,anchor", flag: value}
-        code = run_cli(
-            "bench", "--channels", "8", "--proj-dim", "8", "--repeats", "1",
-            *[word for item in settings.items() for word in item],
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert not timed
-        assert "bench mode=" not in captured.out
-        assert named in captured.err
 
     def test_a_failing_rss_report_is_not_swallowed(self, monkeypatch, capsys):
         resource = pytest.importorskip("resource")
@@ -412,24 +300,6 @@ class TestDdim:
         assert {p.name for p in dump.iterdir()} == want
         assert (dump / "notes.txt").read_text() == "kept"
 
-    @pytest.mark.parametrize("flag,value,named", [
-        ("--dim", "0", "--dim"),
-        ("--dim", "-2", "--dim"),
-        ("--steps", "0", "--steps"),
-        ("--guidance", "nan", "--guidance"),
-        ("--guidance", "inf", "--guidance"),
-        ("--predictor", "bogus", "--predictor"),
-    ])
-    def test_bad_setting_rejected_before_work(self, tmp_path, capsys, flag, value, named):
-        dump = tmp_path / "traj"
-        code = run_cli("ddim", "--predictor", "linear", "--steps", "3", flag, value,
-                       "--dump", str(dump))
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "steps=" not in captured.out
-        assert not dump.exists()
-        assert named in captured.err.splitlines()[-1]
-
 
 class TestCsvBytes:
     """The exact bytes of each CSV artifact: a header row, then one row per
@@ -470,9 +340,6 @@ class TestAttend:
         result = load_array(out)
         assert result.shape == (tokens.num_tokens, 5)
 
-    def test_anchor_mode_needs_anchor_file(self, tokens_file):
-        assert run_cli("attend", "--input", str(tokens_file), "--mode", "anchor") == 2
-
     def test_anchor_mode_runs(self, tmp_path, tokens_file):
         from anchorkit.core import save_array as save
 
@@ -498,16 +365,12 @@ class TestAttend:
         assert "non-finite" in capsys.readouterr().err.splitlines()[-1]
         assert not (tmp_path / "attn.vlt").exists()
 
-    @pytest.mark.parametrize("extra,named", [
-        (("--mode", "bogus"), "bogus"),
-        (("--mode", "anchor"), "--anchors-file"),
-        (("--proj-dim", "0"), "--proj-dim"),
-    ])
-    def test_bad_setting_rejected_before_reading_input(self, tmp_path, capsys, extra, named):
-        code = run_cli("attend", "--input", str(tmp_path / "missing.vlt"), *extra)
+    def test_anchor_mode_needs_anchor_file(self, tmp_path, capsys):
+        """Named before the input is read."""
+        code = run_cli("attend", "--input", str(tmp_path / "missing.vlt"), "--mode", "anchor")
         assert code == 2
         err = capsys.readouterr().err.splitlines()[-1]
-        assert named in err
+        assert "--anchors-file" in err
         assert "missing.vlt" not in err
 
 
@@ -538,13 +401,6 @@ class TestConfigFile:
         assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "mix")) == 0
         assert load_tokens(tmp_path / "mix.vlt").num_tokens == 6
         assert (tmp_path / "mix_labels.csv").exists()
-
-    def test_non_boolean_in_file_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("mixture = maybe\n", encoding="utf-8")
-        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "mix")) == 2
-        assert "not a boolean" in capsys.readouterr().err.splitlines()[-1]
-        assert not (tmp_path / "mix.vlt").exists()
 
     def test_resolved_config_echoed(self, tmp_path, capsys):
         assert run_cli("ddim", "--steps", "2", "--seed", "3") == 0
@@ -625,6 +481,118 @@ def tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+class TestCheckpointInput:
+    @pytest.mark.parametrize("command", ["train", "compress"])
+    def test_repeated_step_count_exits_2_and_writes_nothing(
+        self, tmp_path, valid_args, capsys, command
+    ):
+        """``train --resume`` and ``compress --checkpoint`` take only the
+        manifest the writer writes."""
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"step_count 0\n", b"step_count 0\n" * 2))
+        args = valid_args[command] + (["--resume", str(ckpt)] if command == "train" else [])
+        before = tree(tmp_path)
+        assert run_cli(command, *args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [err[-1]]
+        assert "malformed checkpoint manifest" in err[-1]
+        assert tree(tmp_path) == before
+
+
+# every artifact the subcommands write, by the path under one pipeline's directory
+ARTIFACTS = {
+    "tokens": "mix.vlt", "labels": "mix_labels.csv", "latent": "drift.vlt",
+    "checkpoint": "net.ckpt", "report": "report.csv", "assignments": "r.vlt",
+    "anchors": "c.vlt", "bench": "bench.csv", "dump": "traj",
+    "state": "traj/state_0001.vlt", "dump-manifest": "traj/manifest.txt",
+    "attended": "att.vlt",
+}
+# every option that reads a file, as (command line, option read, one output it
+# writes) given the artifact's path, the pipeline's directory and an output directory
+READERS = {
+    "train-input": lambda p, art, out: (
+        ["train", "--input", p, "--steps", "1", "--anchors", "4", "--hidden", "8",
+         "--checkpoint", out / "n.ckpt"], "n.ckpt"),
+    "train-resume": lambda p, art, out: (
+        ["train", "--input", art / "mix.vlt", "--steps", "1", "--anchors", "4",
+         "--hidden", "8", "--resume", p, "--checkpoint", out / "n.ckpt"], "n.ckpt"),
+    "compress-input": lambda p, art, out: (
+        ["compress", "--input", p, "--checkpoint", art / "net.ckpt",
+         "--out-c", out / "c.vlt"], "c.vlt"),
+    "compress-checkpoint": lambda p, art, out: (
+        ["compress", "--input", art / "mix.vlt", "--checkpoint", p,
+         "--out-c", out / "c.vlt"], "c.vlt"),
+    "attend-input": lambda p, art, out: (
+        ["attend", "--input", p, "--proj-dim", "4", "--out", out / "a.vlt"], "a.vlt"),
+    "attend-anchors-file": lambda p, art, out: (
+        ["attend", "--input", art / "mix.vlt", "--mode", "anchor", "--anchors-file", p,
+         "--proj-dim", "4", "--out", out / "a.vlt"], "a.vlt"),
+    "ddim-config": lambda p, art, out: (
+        ["ddim", "--steps", "2", "--config", p, "--dump", out / "traj"], "traj"),
+}
+# the pairs that run: the tokens are 64 x 6, the network maps 6 channels to
+# 4 anchors, so the anchors are 4 x 6, the assignments 4 x 64 and the
+# attention output 64 x 4. Training refuses fewer tokens than its top-k of 8
+ACCEPTED = {
+    ("train-input", "tokens"), ("train-input", "attended"),
+    ("train-resume", "checkpoint"),
+    ("compress-input", "tokens"), ("compress-input", "anchors"),
+    ("compress-checkpoint", "checkpoint"),
+    ("attend-input", "tokens"), ("attend-input", "assignments"),
+    ("attend-input", "anchors"), ("attend-input", "attended"),
+    ("attend-anchors-file", "tokens"), ("attend-anchors-file", "anchors"),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """One small run of every writing subcommand; returns the directory that holds
+    every artifact in ``ARTIFACTS``."""
+    art = tmp_path_factory.mktemp("artifacts")
+    for argv in [
+        ["gen", "--mixture", "--clusters", "4", "--dim", "6", "--points", "16",
+         "--seed", "5", "--out", art / "mix"],
+        ["gen", "--drift", "--frames", "2", "--channels", "3", "--height", "4",
+         "--width", "4", "--out", art / "drift"],
+        ["train", "--input", art / "mix.vlt", "--steps", "2", "--anchors", "4",
+         "--hidden", "8", "--checkpoint", art / "net.ckpt", "--report", art / "report.csv"],
+        ["compress", "--input", art / "mix.vlt", "--checkpoint", art / "net.ckpt",
+         "--out-r", art / "r.vlt", "--out-c", art / "c.vlt"],
+        ["bench", "--m-values", "16", "--anchors", "4", "--channels", "6", "--proj-dim", "4",
+         "--repeats", "1", "--out", art / "bench.csv"],
+        ["ddim", "--steps", "3", "--dim", "6", "--dump", art / "traj"],
+        ["attend", "--input", art / "mix.vlt", "--proj-dim", "4", "--out", art / "att.vlt"],
+    ]:
+        assert run_cli(*map(str, argv)) == 0
+    assert sorted(str(p.relative_to(art)) for p in art.rglob("*")) == sorted(
+        set(ARTIFACTS.values()) | {"traj/state_0000.vlt", "traj/state_0002.vlt",
+                                   "traj/state_0003.vlt"})
+    return art
+
+
+class TestArtifactReaders:
+    @pytest.mark.parametrize("artifact", list(ARTIFACTS))
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_every_artifact_fed_to_every_reader(
+        self, tmp_path, pipeline, capsys, reader, artifact
+    ):
+        """A reader runs on the artifacts it takes and refuses every other one:
+        exit 2 with one ``error:`` line, the last, and no output written. Either
+        way its input is left as it was."""
+        argv, output = READERS[reader](pipeline / ARTIFACTS[artifact], pipeline, tmp_path)
+        before = tree(pipeline)
+        code = run_cli(*map(str, argv))
+        err = capsys.readouterr().err.splitlines()
+        assert tree(pipeline) == before
+        if (reader, artifact) in ACCEPTED:
+            assert code == 0
+            assert [p.name for p in tmp_path.iterdir()] == [output]
+        else:
+            assert code == 2
+            assert [line for line in err if line.startswith("error:")] == [err[-1]]
+            assert not list(tmp_path.iterdir())
+
+
 class TestOutputPaths:
     def test_table_marks_every_output_option(self):
         marked = [(command, o.name) for command, opts in OPTIONS.items() for o in opts if o.writes]
@@ -686,8 +654,9 @@ FLOAT_BOUNDS = {
     "ddim": {"guidance": None},
 }
 # (command, option, bad value, message after the source)
-FLOAT_CASES = [(command, name, "inf", "must be finite, got inf")
-               for command, bounds in FLOAT_BOUNDS.items() for name in bounds]
+FLOAT_CASES = [(command, name, value, f"must be finite, got {value}")
+               for command, bounds in FLOAT_BOUNDS.items() for name in bounds
+               for value in ("inf", "nan")]
 FLOAT_CASES += [(command, name, *{"> 0": ("0", "must be > 0, got 0.0"),
                                   ">= 0": ("-0.5", "must be >= 0, got -0.5")}[bound])
                 for command, bounds in FLOAT_BOUNDS.items()
@@ -812,30 +781,38 @@ class TestSettingSources:
         (None, ("train", "--hidden", "8,x"), "--hidden", "invalid literal"),
         (None, ("ddim", "--seed", "abc"), "--seed", "invalid literal"),
         ("steps = abc\n", ("train",), "run.cfg key steps", "invalid literal"),
-        ("mixture = maybe\n", ("gen",), "run.cfg key mixture", "not a boolean"),
+        ("mixture = maybe\n", ("gen", "--out", "mix"), "run.cfg key mixture", "not a boolean"),
         ("seed = -4\n", ("ddim",), "run.cfg key seed", "must be >= 0"),
         ("steps = 0\n", ("ddim",), "run.cfg key steps", "must be >= 1, got 0"),
+        ("steps = 4\n\nsteps = 400\n", ("ddim",), "run.cfg:3", "key steps repeats line 1"),
         (None, ("gen", "--drift", "--height", "0"), "--height", "must be >= 1, got 0"),
         (None, ("train", "--anchors", "0"), "--anchors", "must be >= 1, got 0"),
+        (None, ("train", "--hidden", "8,-1"), "--hidden", "must be >= 1, got -1"),
     ], ids=["flag-int", "flag-list", "flag-seed", "file-int", "file-bool", "file-seed",
-            "file-floor", "flag-extent", "flag-count"])
-    def test_bad_value_names_its_source(self, tmp_path, capsys, file_text, argv, named, text):
+            "file-floor", "file-repeated-key", "flag-extent", "flag-count", "flag-list-entry"])
+    def test_bad_value_names_its_source(
+        self, tmp_path, monkeypatch, capsys, file_text, argv, named, text
+    ):
+        """Named before the config echo; the working directory, where any
+        output would go, holds only the config file afterwards."""
+        monkeypatch.chdir(tmp_path)
         extra = ()
         if file_text is not None:
-            (tmp_path / "run.cfg").write_text(file_text, encoding="utf-8")
-            extra = ("--config", str(tmp_path / "run.cfg"))
+            Path("run.cfg").write_text(file_text, encoding="utf-8")
+            extra = ("--config", "run.cfg")
         assert run_cli(*argv, *extra) == 2
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert named in err
-        assert text in err
+        err = capsys.readouterr().err.splitlines()
+        assert not any(line.startswith("config ") for line in err)
+        assert named in err[-1]
+        assert text in err[-1]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"] * (file_text is not None)
 
     @pytest.mark.parametrize("argv,named", [
         (("gen", "--mixture"), "--out"),
         (("compress", "--input", "tokens.vlt"), "--checkpoint"),
         (("attend", "--mode", "full"), "--input"),
-        (("ddim", "--predictor", "bogus"), "bogus"),
     ])
-    def test_missing_or_unknown_setting_exits_2(self, capsys, argv, named):
+    def test_missing_setting_exits_2(self, capsys, argv, named):
         assert run_cli(*argv) == 2
         assert named in capsys.readouterr().err.splitlines()[-1]
 

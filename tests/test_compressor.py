@@ -171,31 +171,18 @@ class TestTrainContract:
             train(tokens, cfg, net=net)
         assert (err.value.step, err.value.term) == (1, "logits")
 
-    @pytest.mark.parametrize("mode", ["categorical", "gaussian"])
-    def test_one_step_traced_peak_below_four_and_a_quarter_assignment_matrices(self, mode):
-        """At A=512, M=4096, hidden (128, 128) a training step softmaxes
-        in the logits' buffer and the objective works in row tiles, so it
-        peaks near 3.7 assignment matrices with the Gaussian prior (whole-
-        matrix objective passes peaked near 5.7, a fresh assignment array
-        near 6.7)."""
-        assert traced_train_peak(mode, steps=1) < 4.25
-
-    def test_categorical_one_step_traced_peak_below_three_and_a_quarter_assignment_matrices(self):
-        """With the categorical prior the objective holds one gradient
-        buffer, so a step at A=512, M=4096, hidden (128, 128) peaks near
-        2.7 assignment matrices (3.8 with a KL gradient of its own)."""
-        assert traced_train_peak("categorical", steps=1) < 3.25
-
     @pytest.mark.parametrize("mode,steps,bound", [
-        ("categorical", 1, 2.75), ("categorical", 3, 3.0), ("gaussian", 3, 4.0),
+        ("categorical", 1, 2.75), ("categorical", 3, 3.0),
+        ("gaussian", 1, 4.25), ("gaussian", 3, 4.0),
     ])
     def test_steps_hold_only_live_arrays(self, mode, steps, bound):
-        """A step masks the top-k sets one row tile at a time, puts
-        backprop's products in the spent assignments and drops its logit
-        gradient before Adam: one categorical step peaks at 2.69 assignment
-        matrices (2.83 with an anchors x tokens mask and fresh products),
-        and three steps at 2.81, 3.81 Gaussian, 0.12 above one step (3.93
-        and 4.93 when each gradient lived until the next objective returned)."""
+        """At A=512, M=4096, hidden (128, 128) a step softmaxes in the
+        logits' buffer, runs the objective and its top-k masks one row tile
+        at a time, puts backprop's products in the spent assignments and
+        drops its logit gradient before Adam. One step peaks at 2.69
+        assignment matrices with the categorical prior, whose objective
+        holds one gradient buffer, and 3.69 with the Gaussian prior;
+        three steps peak at 2.81 and 3.81."""
         assert traced_train_peak(mode, steps) < bound
 
     def test_subsample_contract(self):

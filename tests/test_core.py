@@ -340,13 +340,15 @@ class TestWritersRefuseWhatTheReaderRejects:
             save_array(path, arr)
         assert not path.exists()
 
-    def test_save_checkpoint_raises_and_writes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("bias,step_count", [(1e39, 0), (0.0, -3)],
+                             ids=["float32-overflow", "negative-step-count"])
+    def test_save_checkpoint_raises_and_writes_nothing(self, tmp_path, bias, step_count):
         net = init_network(3, 2, hidden_dims=(4,), seed=0)
         last = net.layers[-1]
-        net = AssignmentNetwork((net.layers[0], Layer(last.weight, np.full_like(last.bias, 1e39))))
+        net = AssignmentNetwork((net.layers[0], Layer(last.weight, np.full_like(last.bias, bias))))
         path = tmp_path / "net.ckpt"
         with pytest.raises(AnchorKitError, match="net.ckpt"):
-            save_checkpoint(path, net)
+            save_checkpoint(path, net, step_count)
         assert not path.exists()
 
     def test_largest_float32_round_trips(self, tmp_path):
