@@ -30,6 +30,7 @@ from .core import (
     TokenMatrix,
     _checked_record,
     _decode_array,
+    _naming,
     seeded_rng,
 )
 
@@ -271,44 +272,42 @@ def load_checkpoint(path) -> tuple[AssignmentNetwork, int]:
     """Read a checkpoint written by :func:`save_checkpoint`. Its manifest must be
     the exact bytes written for the step count and layer shapes it states: any
     other layout, spelling, spacing or line order raises :class:`FormatError`."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _naming("read", path):
         buf = fh.read()
-    end_marker = b"\nend\n"
-    head_end = buf.find(end_marker)
-    if head_end < 0:
-        raise FormatError("checkpoint manifest has no end marker")
-    offset = head_end + len(end_marker)
-    try:
-        head = buf[:head_end].decode("utf-8").split("\n")
-        if head[0] != "anchorkit-checkpoint v1":
-            raise FormatError("not an anchorkit checkpoint")
-        _, activation, steps, count, *rows = head
-        step_count = int(steps.removeprefix("step_count "))
-        n_layers = int(count.removeprefix("layers "))
-        shapes = [(int(out_dim), int(in_dim)) for _, out_dim, in_dim in map(str.split, rows)]
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError too
-        raise FormatError(f"malformed checkpoint manifest: {exc}") from None
-    if activation != f"activation {ACTIVATION}":
-        raise FormatError(f"unsupported activation {activation.removeprefix('activation ')!r}")
-    if step_count < 0:
-        raise FormatError(f"negative step count {step_count}")
-    if n_layers != len(shapes):
-        raise FormatError("manifest layer count disagrees with layer lines")
-    if buf[:offset] != _manifest(step_count, shapes):
-        raise FormatError("malformed checkpoint manifest")
-    layers = []
-    for out_dim, in_dim in shapes:
-        weight, offset = _decode_array(buf, offset)
-        bias, offset = _decode_array(buf, offset)
-        if weight.shape != (out_dim, in_dim) or bias.shape != (out_dim,):
-            raise FormatError(
-                f"tensor shapes {weight.shape}/{bias.shape} disagree with manifest "
-                f"({out_dim}, {in_dim})"
-            )
-        layers.append(Layer(weight, bias))
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after checkpoint tensors")
-    try:
-        return AssignmentNetwork(tuple(layers)), step_count
-    except DimensionError as exc:  # no layers, or widths that do not chain
-        raise FormatError(f"checkpoint network: {exc}") from None
+        end_marker = b"\nend\n"
+        head_end = buf.find(end_marker)
+        if head_end < 0:
+            raise FormatError("checkpoint manifest has no end marker")
+        offset = head_end + len(end_marker)
+        try:
+            head = buf[:head_end].decode("utf-8").split("\n")
+            if head[0] != "anchorkit-checkpoint v1":
+                raise FormatError("not an anchorkit checkpoint")
+            _, activation, steps, count, *rows = head
+            step_count = int(steps.removeprefix("step_count "))
+            n_layers = int(count.removeprefix("layers "))
+            shapes = [(int(out_dim), int(in_dim)) for _, out_dim, in_dim in map(str.split, rows)]
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+            raise FormatError(f"malformed checkpoint manifest: {exc}") from None
+        if activation != f"activation {ACTIVATION}":
+            raise FormatError(f"unsupported activation {activation.removeprefix('activation ')!r}")
+        if step_count < 0:
+            raise FormatError(f"negative step count {step_count}")
+        if n_layers != len(shapes):
+            raise FormatError("manifest layer count disagrees with layer lines")
+        if buf[:offset] != _manifest(step_count, shapes):
+            raise FormatError("malformed checkpoint manifest")
+        layers = []
+        for out_dim, in_dim in shapes:
+            weight, offset = _decode_array(buf, offset)
+            bias, offset = _decode_array(buf, offset)
+            if weight.shape != (out_dim, in_dim) or bias.shape != (out_dim,):
+                raise FormatError(f"tensor shapes {weight.shape}/{bias.shape} disagree "
+                                  f"with manifest ({out_dim}, {in_dim})")
+            layers.append(Layer(weight, bias))
+        if offset != len(buf):
+            raise FormatError(f"{len(buf) - offset} trailing bytes after checkpoint tensors")
+        try:
+            return AssignmentNetwork(tuple(layers)), step_count
+        except DimensionError as exc:  # no layers, or widths that do not chain
+            raise FormatError(f"checkpoint network: {exc}") from None

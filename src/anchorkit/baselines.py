@@ -87,12 +87,8 @@ def kmeans(tokens: TokenMatrix, k: int, seed: int = 0) -> KMeansResult:
         labels = d2.argmin(axis=1)
         assigned = d2[np.arange(n), labels]
         history.append(float(assigned.sum()))
-        # sums in point order, as mean(axis=0) adds 2-D rows; one channel is summed pairwise
-        if c > 1:
-            bins = (labels[:, None] * c + np.arange(c)).ravel()
-            sums = np.bincount(bins, weights=points.ravel(), minlength=k * c).reshape(k, c)
-        else:
-            sums = np.array([points[labels == j].sum(axis=0) for j in range(k)])
+        bins = (labels[:, None] * c + np.arange(c)).ravel()  # summed in point order
+        sums = np.bincount(bins, weights=points.ravel(), minlength=k * c).reshape(k, c)
         counts = np.bincount(labels, minlength=k)
         new_centers = sums / np.maximum(counts, 1)[:, None]
         new_centers[counts == 0] = points[assigned.argmax()]  # the farthest point

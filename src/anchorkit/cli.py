@@ -233,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -361,10 +364,7 @@ def _train_config(cfg: dict) -> compressor.TrainConfig:
 def cmd_train(cfg: dict) -> int:
     train_cfg = _train_config(cfg)  # reject bad settings before reading any input
     tokens = load_tokens(cfg["input"])
-    net = None
-    base_steps = 0
-    if cfg["resume"]:
-        net, base_steps = assignnet.load_checkpoint(cfg["resume"])
+    net, base_steps = assignnet.load_checkpoint(cfg["resume"]) if cfg["resume"] else (None, 0)
     net, report = compressor.train(tokens, train_cfg, net=net)
     if cfg["checkpoint"]:
         assignnet.save_checkpoint(cfg["checkpoint"], net, base_steps + train_cfg.steps)

@@ -24,6 +24,7 @@ check would reject; only the readers go on to cast the payload.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import struct
 from dataclasses import dataclass
@@ -267,14 +268,20 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     return flat.reshape(shape).astype(np.float64), end
 
 
+@contextlib.contextmanager
+def _naming(verb: str, path):
+    """Re-raise a refusal (a FormatError or DimensionError) as ``cannot VERB PATH: reason``."""
+    try:
+        yield
+    except (FormatError, DimensionError) as exc:
+        raise type(exc)(f"cannot {verb} {path}: {exc}") from None
+
+
 def _checked_record(path, arr) -> bytes:
     """``arr``'s VLT1 record; one that :func:`_check_record` rejects raises, naming ``path``."""
-    with np.errstate(over="ignore"):  # beyond float32's range becomes inf, refused below
+    with np.errstate(over="ignore"), _naming("write", path):  # float32 overflow: inf, refused
         record = _encode_array(np.asarray(arr))
-    try:
         _check_record(record, 0)
-    except FormatError as exc:
-        raise type(exc)(f"cannot write {path}: {exc}") from None
     return record
 
 
@@ -287,11 +294,11 @@ def save_array(path, arr: np.ndarray) -> None:
 
 def load_array(path) -> np.ndarray:
     """Read exactly one VLT1 record from ``path``; returns float64 data."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _naming("read", path):
         buf = fh.read()
-    arr, end = _decode_array(buf, 0)
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} trailing bytes after tensor payload")
+        arr, end = _decode_array(buf, 0)
+        if end != len(buf):
+            raise FormatError(f"{len(buf) - end} trailing bytes after tensor payload")
     return arr
 
 
@@ -300,7 +307,9 @@ def save_tokens(path, tokens: TokenMatrix) -> None:
 
 
 def load_tokens(path) -> TokenMatrix:
-    return TokenMatrix._adopt(load_array(path))
+    arr = load_array(path)
+    with _naming("read", path):  # a file of another rank
+        return TokenMatrix._adopt(arr)
 
 
 def save_latent(path, latent: LatentTensor) -> None:
@@ -308,4 +317,6 @@ def save_latent(path, latent: LatentTensor) -> None:
 
 
 def load_latent(path) -> LatentTensor:
-    return LatentTensor._adopt(load_array(path))
+    arr = load_array(path)
+    with _naming("read", path):  # a file of another rank
+        return LatentTensor._adopt(arr)

@@ -6,13 +6,14 @@ its weight attributes), makes a fresh array per operation, and calls no
 them checks the package against a second implementation, not against
 itself. Where a test asks for bit identity, each reference keeps the
 package's operation order: the bits follow from the rule and that order,
-not from shared code. Only the objective's constants come from the
-package. Test modules import this file as ``from reference import ...``;
+not from shared code. Only the objective's and k-means' constants come
+from the package. Test modules import this file as ``from reference import ...``;
 pytest does not collect it.
 """
 
 import numpy as np
 
+from anchorkit.baselines import MAX_ITERS, TOL
 from anchorkit.objective import DEGENERATE_MASS, SIM_EPSILON, VARIANCE_FLOOR
 
 
@@ -154,3 +155,50 @@ def oracle(mode, tokens, anchors, proj):
     keys_from = tokens if mode == "full" else anchors
     return naive_attention(tokens @ proj.w_query, keys_from @ proj.w_key,
                            keys_from @ proj.w_value)
+
+
+def reference_pairwise_sq_dists(points, centers):
+    """The expanded squared distance with a fresh array per operation."""
+    d2 = ((points**2).sum(axis=1)[:, None] - 2.0 * points @ centers.T
+          + (centers**2).sum(axis=1)[None, :])
+    return np.maximum(d2, 0.0)
+
+
+def reference_kmeans(points, k, seed):
+    """k-means++ seeding, then Lloyd passes that update one cluster at a time,
+    each center the sum of its points in point order over their count.
+
+    Returns centers, labels, inertia and the inertia history, as ``kmeans`` does.
+    """
+    n = points.shape[0]
+    rng = np.random.Generator(np.random.PCG64([seed]))
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    best = reference_pairwise_sq_dists(points, centers[:1])[:, 0]
+    for i in range(1, k):
+        total = best.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=best / total))
+        centers[i] = points[idx]
+        best = np.minimum(best, reference_pairwise_sq_dists(points, centers[i : i + 1])[:, 0])
+    history = []
+    for _ in range(MAX_ITERS):
+        d2 = reference_pairwise_sq_dists(points, centers)
+        labels = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), labels].sum()))
+        new_centers = centers.copy()
+        for j in range(k):
+            members = points[labels == j]
+            if len(members):
+                total = np.zeros(points.shape[1])
+                for p in members:
+                    total = total + p
+                new_centers[j] = total / len(members)
+            else:  # an empty cluster takes the point farthest from its center
+                new_centers[j] = points[int(d2[np.arange(n), labels].argmax())]
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        if shift < TOL:
+            break
+    labels = reference_pairwise_sq_dists(points, centers).argmin(axis=1)
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return centers, labels, inertia, (*history, inertia)

@@ -1,7 +1,6 @@
 """Alignment permutation, attention kernels vs naive oracles, cost model."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,19 +200,6 @@ class TestTiling:
         np.testing.assert_allclose(tiled, oracle(mode, tokens, anchors, proj), atol=1e-12)
         np.testing.assert_allclose(tiled, single, atol=1e-12)
 
-    def test_peak_memory_is_one_tile_plus_linear_terms(self):
-        """M=4096, d=64: the full score matrix would be 128 MiB; the kernel
-        holds one score tile plus the projections and the output."""
-        proj = init_projection(64, 64, seed=10)
-        tokens = TokenMatrix(seeded_rng(16).standard_normal((4096, 64)))
-        tracemalloc.start()
-        try:
-            full_attention(tokens, proj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * attention._TILE_ROWS * attention._KEY_BLOCK
-
 
 class TestTileRows:
     """Tiles cut only the query rows, so each score keeps its d+1 terms and
@@ -233,7 +219,7 @@ class TestTileRows:
         monkeypatch.setattr(attention, "_TILE_ROWS", rows)
         assert attend(mode, tokens, anchors, proj).tobytes() == single
 
-    def test_anchor_attention_peak_at_inference_shapes(self):
+    def test_anchor_attention_peak_at_inference_shapes(self, traced_peak):
         """M=8192, A=512, c=d=64: the (M, d+1) queries, one 512 x 512 score
         tile and its accumulators stay under 9 MiB (2048-row tiles sized
         from a byte budget peaked at 15.75 MiB)."""
@@ -241,13 +227,7 @@ class TestTileRows:
         tokens = TokenMatrix(rng.standard_normal((8192, 64)))
         anchors = rng.standard_normal((512, 64))
         proj = init_projection(64, 64, seed=12)
-        tracemalloc.start()
-        try:
-            anchor_attention(tokens, anchors, proj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 9 * 2**20
+        assert traced_peak(anchor_attention, tokens, anchors, proj) < 9 * 2**20
 
 
 class TestKeyBlocks:
@@ -327,19 +307,15 @@ class TestKeyBlocks:
 
     # scale 1e3 sends every row through the exact path
     @pytest.mark.parametrize("scale", [1.0, 1e3])
-    def test_peak_memory_with_more_keys_than_one_block(self, scale):
-        """M=4096 > _KEY_BLOCK, d=64: one score tile plus linear terms,
-        also when every row is recomputed block by block."""
+    def test_peak_memory_with_more_keys_than_one_block(self, traced_peak, scale):
+        """M=4096 > _KEY_BLOCK, d=64: the full score matrix would be 128 MiB;
+        the kernel holds one score tile plus the projections and the
+        output, also when every row is recomputed block by block."""
         m = 4096
         assert m > attention._KEY_BLOCK
         proj = init_projection(64, 64, seed=10)
         tokens = TokenMatrix(scale * seeded_rng(16).standard_normal((m, 64)))
-        tracemalloc.start()
-        try:
-            full_attention(tokens, proj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(full_attention, tokens, proj)
         assert peak < 3 * 8 * attention._TILE_ROWS * attention._KEY_BLOCK
 
 

@@ -1,13 +1,16 @@
 """k-means oracle correctness and the quantization-error metric."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anchorkit.baselines import MAX_ITERS, TOL, kmeans, quantization_error
+from anchorkit.baselines import kmeans, quantization_error
 from anchorkit.core import ConfigError, DimensionError, NumericalError, TokenMatrix, seeded_rng
 from anchorkit.synth import MixtureSpec, gaussian_mixture
+from reference import reference_kmeans, reference_pairwise_sq_dists
 
 
 def brute_force_two_clusters(points):
@@ -26,47 +29,17 @@ def brute_force_two_clusters(points):
     return best
 
 
-def reference_pairwise_sq_dists(points, centers):
-    """The expanded squared distance with a fresh array per operation."""
-    d2 = ((points**2).sum(axis=1)[:, None] - 2.0 * points @ centers.T
-          + (centers**2).sum(axis=1)[None, :])
-    return np.maximum(d2, 0.0)
-
-
-def reference_kmeans(points, k, seed):
-    """k-means++ seeding, then Lloyd passes that update one cluster at a time.
-
-    Returns centers, labels, inertia and the inertia history, as ``kmeans`` does.
-    """
-    n = points.shape[0]
-    rng = seeded_rng(seed)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    best = reference_pairwise_sq_dists(points, centers[:1])[:, 0]
-    for i in range(1, k):
-        total = best.sum()
-        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=best / total))
-        centers[i] = points[idx]
-        best = np.minimum(best, reference_pairwise_sq_dists(points, centers[i : i + 1])[:, 0])
-    history = []
-    for _ in range(MAX_ITERS):
-        d2 = reference_pairwise_sq_dists(points, centers)
-        labels = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), labels].sum()))
-        new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = points[members].mean(axis=0)
-            else:  # an empty cluster takes the point farthest from its center
-                new_centers[j] = points[int(d2[np.arange(n), labels].argmax())]
-        shift = np.abs(new_centers - centers).max()
-        centers = new_centers
-        if shift < TOL:
-            break
-    labels = reference_pairwise_sq_dists(points, centers).argmin(axis=1)
-    inertia = float(((points - centers[labels]) ** 2).sum())
-    return centers, labels, inertia, (*history, inertia)
+def test_reference_module_imports_only_constants():
+    """``tests/reference.py`` takes constants from the package and no code,
+    so a reference cannot fall back on the implementation it checks."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "anchorkit":
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "anchorkit"]
+    assert [name for name in imported if not name.isupper()] == []
 
 
 def reference_cases():

@@ -592,6 +592,17 @@ class TestArtifactReaders:
             assert [line for line in err if line.startswith("error:")] == [err[-1]]
             assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("reader", [r for r in READERS if r != "ddim-config"])
+    def test_refused_file_is_named(self, tmp_path, pipeline, capsys, reader):
+        """A VLT1 or checkpoint reader names the file it refuses, so a run
+        with two inputs says which one is bad."""
+        path = pipeline / ARTIFACTS["labels"]
+        argv, _ = READERS[reader](path, pipeline, tmp_path)
+        assert run_cli(*map(str, argv)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [err[-1]]
+        assert f"cannot read {path}: " in err[-1]
+
 
 class TestOutputPaths:
     def test_table_marks_every_output_option(self):
@@ -785,11 +796,13 @@ class TestSettingSources:
         ("seed = -4\n", ("ddim",), "run.cfg key seed", "must be >= 0"),
         ("steps = 0\n", ("ddim",), "run.cfg key steps", "must be >= 1, got 0"),
         ("steps = 4\n\nsteps = 400\n", ("ddim",), "run.cfg:3", "key steps repeats line 1"),
+        ("steps = 4\udcd5\n", ("ddim",), "run.cfg: not UTF-8 text", "can't decode byte 0xd5"),
         (None, ("gen", "--drift", "--height", "0"), "--height", "must be >= 1, got 0"),
         (None, ("train", "--anchors", "0"), "--anchors", "must be >= 1, got 0"),
         (None, ("train", "--hidden", "8,-1"), "--hidden", "must be >= 1, got -1"),
     ], ids=["flag-int", "flag-list", "flag-seed", "file-int", "file-bool", "file-seed",
-            "file-floor", "file-repeated-key", "flag-extent", "flag-count", "flag-list-entry"])
+            "file-floor", "file-repeated-key", "file-not-utf8", "flag-extent", "flag-count",
+            "flag-list-entry"])
     def test_bad_value_names_its_source(
         self, tmp_path, monkeypatch, capsys, file_text, argv, named, text
     ):
@@ -798,7 +811,8 @@ class TestSettingSources:
         monkeypatch.chdir(tmp_path)
         extra = ()
         if file_text is not None:
-            Path("run.cfg").write_text(file_text, encoding="utf-8")
+            # a lone surrogate escape writes its one byte: \udcd5 is 0xd5
+            Path("run.cfg").write_text(file_text, encoding="utf-8", errors="surrogateescape")
             extra = ("--config", "run.cfg")
         assert run_cli(*argv, *extra) == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,7 +1,6 @@
 """Training-loop contracts, one-pass compression, and usage diagnostics."""
 
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,22 +31,6 @@ def small_objective(**kw):
 
 def random_tokens(m=32, c=5, seed=0):
     return TokenMatrix(seeded_rng(seed).standard_normal((m, c)))
-
-
-def traced_train_peak(mode, steps):
-    """Traced peak of ``steps`` training steps at A=512, M=4096, hidden
-    (128, 128), in (512, 4096) float64 arrays."""
-    tokens = random_tokens(m=4096, c=16, seed=16)
-    net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
-    cfg = TrainConfig(steps=steps, log_every=2, seed=0, hidden_dims=(128, 128),
-                      objective=AnchorConfig(n_anchors=512, prior_mode=mode))
-    tracemalloc.start()
-    try:
-        train(tokens, cfg, net=net)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (512 * 4096 * 8)
 
 
 class TestTrainContract:
@@ -175,7 +158,7 @@ class TestTrainContract:
         ("categorical", 1, 2.75), ("categorical", 3, 3.0),
         ("gaussian", 1, 4.25), ("gaussian", 3, 4.0),
     ])
-    def test_steps_hold_only_live_arrays(self, mode, steps, bound):
+    def test_steps_hold_only_live_arrays(self, traced_peak, mode, steps, bound):
         """At A=512, M=4096, hidden (128, 128) a step softmaxes in the
         logits' buffer, runs the objective and its top-k masks one row tile
         at a time, puts backprop's products in the spent assignments and
@@ -183,7 +166,11 @@ class TestTrainContract:
         assignment matrices with the categorical prior, whose objective
         holds one gradient buffer, and 3.69 with the Gaussian prior;
         three steps peak at 2.81 and 3.81."""
-        assert traced_train_peak(mode, steps) < bound
+        tokens = random_tokens(m=4096, c=16, seed=16)
+        net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
+        cfg = TrainConfig(steps=steps, log_every=2, seed=0, hidden_dims=(128, 128),
+                          objective=AnchorConfig(n_anchors=512, prior_mode=mode))
+        assert traced_peak(train, tokens, cfg, net=net) < bound * 512 * 4096 * 8
 
     def test_subsample_contract(self):
         tokens = random_tokens(m=20, c=3, seed=7)
@@ -300,33 +287,16 @@ class TestInPlaceCompress:
             np.testing.assert_array_equal(layer.weight, w)
             np.testing.assert_array_equal(layer.bias, b)
 
-    def test_traced_peak_below_two_assignment_matrices(self):
-        """At A=512, M=4096, hidden (128, 128) compress holds the logits
-        (then assignments) and one hidden activation: 1.25 assignment
-        matrices (one array per operation peaked at 4)."""
-        tokens = random_tokens(m=4096, c=16, seed=16)
-        net = init_network(16, 512, hidden_dims=(128, 128), seed=17)
-        tracemalloc.start()
-        try:
-            compress(tokens, net)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 512 * 4096 * 8
-
-    def test_traced_peak_holds_no_dead_activation(self):
-        """At M=8192, A=512, c=64, hidden (128, 128) compress holds the
-        logits and the last hidden activation, 1.25 assignment matrices;
-        keeping the first one too, and a finiteness mask, peaked at 1.5."""
-        tokens = random_tokens(m=8192, c=64, seed=20)
-        net = init_network(64, 512, hidden_dims=(128, 128), seed=21)
-        tracemalloc.start()
-        try:
-            compress(tokens, net)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * 512 * 8192 * 8
+    @pytest.mark.parametrize("m,c,seed,bound", [(4096, 16, 16, 2.0), (8192, 64, 20, 1.3)])
+    def test_traced_peak_holds_no_dead_activation(self, traced_peak, m, c, seed, bound):
+        """At A=512, hidden (128, 128) compress holds the logits (then
+        assignments) and the last hidden activation: 1.25 assignment
+        matrices. One array per operation peaked at 4 (M=4096, c=16);
+        keeping the first activation too, and a finiteness mask, at 1.5
+        (M=8192, c=64)."""
+        tokens = random_tokens(m=m, c=c, seed=seed)
+        net = init_network(c, 512, hidden_dims=(128, 128), seed=seed + 1)
+        assert traced_peak(compress, tokens, net) < bound * 512 * m * 8
 
     def test_non_finite_logits_raise(self):
         """Last-layer weights of 1e308 overflow the logits to inf."""

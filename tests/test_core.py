@@ -1,6 +1,5 @@
 """Container invariants, flatten/unflatten arithmetic, and the VLT1 format."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,27 +138,13 @@ class TestFlatten:
             again = flatten(back)
             np.testing.assert_array_equal(again.data, tokens.data)
 
-    @staticmethod
-    def flatten_peak():
+    def test_adoption_check_holds_no_full_size_mask(self, traced_peak):
+        """The reshaped copy is adopted, not copied again, and the
+        finiteness check reuses one 64 KiB mask: an 8x64x32x32 latent
+        flattens into one 4 MiB result (two copies peaked at 8.5 MiB, 2.1
+        results; a boolean mask of the whole result at 1.125 results)."""
         lat = LatentTensor(seeded_rng(13).standard_normal((8, 64, 32, 32)))
-        tracemalloc.start()
-        try:
-            tokens = flatten(lat)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak / tokens.data.nbytes
-
-    def test_traced_peak_is_one_result(self):
-        """The reshaped copy is adopted, not copied again: an 8x64x32x32
-        latent flattens into one 4 MiB result (two copies peaked at
-        8.5 MiB, 2.1 results)."""
-        assert self.flatten_peak() < 1.2
-
-    def test_adoption_check_holds_no_full_size_mask(self):
-        """The finiteness check reuses one 64 KiB mask; a boolean mask of
-        the whole result, an eighth of it, peaked at 1.125 results."""
-        assert self.flatten_peak() <= 1.05
+        assert traced_peak(flatten, lat) <= 1.05 * lat.data.nbytes
 
     @pytest.mark.parametrize("shape", [(3, 1, 2, 4), (3, 5, 1, 1)])
     def test_view_shapes_get_their_own_buffer(self, shape):
@@ -189,23 +174,15 @@ class TestFlatten:
         expected = [[x.data[f, :, p // w, p % w] for f in range(l)] for p in range(h * w)]
         np.testing.assert_array_equal(aligned, expected)
 
-    def test_load_latent_peaks_like_load_tokens(self, tmp_path):
+    def test_load_latent_peaks_like_load_tokens(self, tmp_path, traced_peak):
         """Both loaders hold the array that ``load_array`` decodes, without
         a further copy: the latent file's traced peak is within 10 % of the
         same values read as a token matrix."""
         x = seeded_rng(12).standard_normal((8, 64, 16, 16))
         save_latent(tmp_path / "x.vlt", LatentTensor(x))
         save_tokens(tmp_path / "t.vlt", TokenMatrix(x.reshape(-1, 64)))
-        peaks = {}
-        for loader, name in ((load_latent, "x.vlt"), (load_tokens, "t.vlt")):
-            tracemalloc.start()
-            try:
-                loaded = loader(tmp_path / name)
-                peaks[loader] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert loaded.data.size == x.size
-        assert peaks[load_latent] <= 1.1 * peaks[load_tokens]
+        peak_latent = traced_peak(load_latent, tmp_path / "x.vlt")
+        assert peak_latent <= 1.1 * traced_peak(load_tokens, tmp_path / "t.vlt")
 
     def test_unflatten_shape_mismatch_names_counts(self):
         tokens = TokenMatrix(np.zeros((5, 2)))

@@ -88,17 +88,6 @@ class TestInvertStep:
             scale = np.sqrt(sched.alphas[t] / sched.alphas[t - 1])
             np.testing.assert_allclose(out, scale * z, rtol=1e-15)
 
-    def test_per_step_inverse_for_fixed_noise(self):
-        """denoise(invert(z; eps); eps) = z for arbitrary fixed eps."""
-        sched = linear_beta_schedule(50)
-        rng = seeded_rng(4)
-        for trial in range(5):
-            z = rng.standard_normal(8)
-            pred = ConstantPredictor(rng.standard_normal(8))
-            for t in (1, 13, 50):
-                back = denoise_step(invert_step(z, t, sched, pred), t, sched, pred)
-                assert np.abs(back - z).max() <= 1e-10
-
     def test_per_step_inverse_for_time_only_predictor(self):
         sched = linear_beta_schedule(30)
         pred = TimeOnlyPredictor(seed=5)
@@ -160,14 +149,6 @@ class TestTrajectories:
         up = run_trajectory(z, sched, ZeroPredictor(), "invert")
         down = run_trajectory(up[-1], sched, ZeroPredictor(), "denoise")
         assert np.abs(down[-1] - z).max() <= 1e-10
-
-    def test_fifty_step_round_trip_time_only_predictor(self):
-        sched = linear_beta_schedule(50)
-        z = seeded_rng(12).standard_normal(16)
-        pred = TimeOnlyPredictor(seed=13)
-        up = run_trajectory(z, sched, pred, "invert")
-        down = run_trajectory(up[-1], sched, pred, "denoise")
-        assert np.abs(down[-1] - z).max() <= 1e-8
 
     def test_deterministic(self):
         sched = linear_beta_schedule(20)

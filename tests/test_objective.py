@@ -5,7 +5,6 @@ computed through the full value pipeline (logits -> softmax -> pooling ->
 loss), at points where the top-k selections are stable under the probe.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,14 +146,6 @@ class TestKlUniform:
     def test_uniform_is_zero(self):
         r = np.full((4, 7), 0.25)
         assert abs(kl_uniform(r)) <= 1e-12
-
-    def test_one_hot_is_log_a(self):
-        r = np.array([[1.0], [0.0], [0.0], [0.0]])
-        assert abs(kl_uniform(r) - np.log(4.0)) <= 1e-12
-
-    def test_half_mass_is_log_two(self):
-        r = np.array([[0.5], [0.5], [0.0], [0.0]])
-        assert abs(kl_uniform(r) - np.log(2.0)) <= 1e-12
 
     def test_range_and_sum_over_tokens(self):
         rng = seeded_rng(4)
@@ -466,27 +457,6 @@ def assert_total_loss_equals_reference(r, z, cfg):
         assert_same_bits(got, want)
 
 
-def assert_total_loss_equals_reference_with_ties(mode, quantised):
-    rng = seeded_rng(22)
-    z = TokenMatrix(rng.standard_normal((48, 5)))
-    logits = rng.standard_normal((6, 48))
-    if quantised:  # repeated logit columns tie responsibilities at the top-k cut
-        logits = np.tile(np.round(logits[:, :8]), 6)
-    cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode)
-    assert_total_loss_equals_reference(reference_soft_assign(logits), z, cfg)
-
-
-class TestSinglePass:
-    """total_loss computes each term once and still matches the reference
-    composed from the per-term references bit for bit, tie-heavy
-    assignments included."""
-
-    @pytest.mark.parametrize("mode", PRIOR_MODES)
-    @pytest.mark.parametrize("quantised", [False, True])
-    def test_total_loss_equals_reference(self, mode, quantised):
-        assert_total_loss_equals_reference_with_ties(mode, quantised)
-
-
 def logit_cases():
     """Random, tie-heavy and large-magnitude (+-700) logits with tokens."""
     rng = seeded_rng(40)
@@ -499,31 +469,8 @@ def logit_cases():
     }
 
 
-def assert_terms_equal_references(case):
-    logits, z = logit_cases()[case]
-    r = reference_soft_assign(logits)
-    np.testing.assert_array_equal(soft_assign(logits), r)
-    buf = logits.copy()
-    assert soft_assign(buf, out=buf) is buf
-    np.testing.assert_array_equal(buf, r)
-    for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
-        assert_same_bits(got, want)
-    cfg = AnchorConfig(n_anchors=6, top_k=5)
-    for got, want in zip(contrastive_value_and_grad(r, z, cfg),
-                         reference_contrastive_value_and_grad(r, z.data, cfg)):
-        assert_same_bits(got, want)
-    for got, want in zip(_gaussian(r, z, pool_anchors(r, z)),
-                         reference_gaussian_value_and_grad(r, z.data)):
-        assert_same_bits(got, want)
-
-
 class TestInPlaceObjective:
-    """The buffer-reusing softmax and loss terms match the one-array-per-
-    operation references bit for bit and never write their inputs."""
-
-    @pytest.mark.parametrize("case", ["random", "ties", "huge"])
-    def test_terms_equal_references(self, case):
-        assert_terms_equal_references(case)
+    """The buffer-reusing softmax and loss terms never write their inputs."""
 
     @pytest.mark.parametrize("mode", PRIOR_MODES)
     def test_public_functions_leave_inputs_unchanged(self, mode):
@@ -538,16 +485,6 @@ class TestInPlaceObjective:
         np.testing.assert_array_equal(r_seen, r)
         np.testing.assert_array_equal(z.data, data)
 
-    @pytest.mark.parametrize("case", ["random", "ties", "huge"])
-    def test_soft_assign_into_its_input_equals_a_fresh_output(self, case):
-        logits, _ = logit_cases()[case]
-        seen = logits.copy()
-        fresh = soft_assign(seen)
-        np.testing.assert_array_equal(seen, logits)
-        buf = logits.copy()
-        assert soft_assign(buf, out=buf) is buf
-        np.testing.assert_array_equal(buf, fresh)
-
     @pytest.mark.parametrize("case", ["random", "huge"])
     def test_terms_take_fortran_ordered_assignments(self, case):
         """A column-major view gives the same bits as its C-ordered copy
@@ -560,31 +497,19 @@ class TestInPlaceObjective:
             for got, want in zip(term(np.asfortranarray(r), *args), term(r, *args)):
                 assert_same_bits(got, want)
 
-    def test_soft_assign_traced_peak_is_one_output(self):
+    def test_soft_assign_traced_peak_is_one_output(self, traced_peak):
         """At A=512, M=4096 the softmax holds its output and (M,) column
         arrays: below 1.25 output sizes (one array per operation peaked at
         3)."""
         logits = seeded_rng(41).standard_normal((512, 4096))
-        tracemalloc.start()
-        try:
-            soft_assign(logits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * logits.nbytes
+        assert traced_peak(soft_assign, logits) < 1.25 * logits.nbytes
 
-    def test_soft_assign_in_place_holds_no_mask(self):
+    def test_soft_assign_in_place_holds_no_mask(self, traced_peak):
         """At A=512, M=8192 the in-place softmax holds only (M,) column
         arrays: under 0.05 logit arrays (a boolean finiteness mask of the
         logits peaked at 0.125)."""
         logits = seeded_rng(42).standard_normal((512, 8192))
-        tracemalloc.start()
-        try:
-            soft_assign(logits, out=logits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.05 * logits.nbytes
+        assert traced_peak(soft_assign, logits, out=logits) < 0.05 * logits.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (2, 3), (4, 1)])
@@ -633,8 +558,10 @@ class TestRowTileWalker:
 class TestRowTiles:
     """The elementwise passes walk the anchors in row tiles. Budgets of 1, 2,
     3 and 5 rows split the 6 anchors into several tiles, the last one
-    ragged, 6 rows make one tile, and every result stays bit-identical to
-    the references."""
+    ragged, 6 rows make one tile, as the default budget does, and every
+    result of the buffer-reusing softmax and loss terms stays bit-identical
+    to the one-array-per-operation references, tie-heavy assignments
+    included."""
 
     @pytest.fixture(params=[1, 2, 3, 5, 6])
     def rows_per_tile(self, request, monkeypatch):
@@ -645,11 +572,33 @@ class TestRowTiles:
     @pytest.mark.parametrize("quantised", [False, True])
     def test_total_loss_equals_reference(self, rows_per_tile, mode, quantised):
         assert next(objective._row_tiles((6, 48))) == (slice(0, rows_per_tile),)
-        assert_total_loss_equals_reference_with_ties(mode, quantised)
+        rng = seeded_rng(22)
+        z = TokenMatrix(rng.standard_normal((48, 5)))
+        logits = rng.standard_normal((6, 48))
+        if quantised:  # repeated logit columns tie responsibilities at the top-k cut
+            logits = np.tile(np.round(logits[:, :8]), 6)
+        cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=0.3, prior_mode=mode)
+        assert_total_loss_equals_reference(reference_soft_assign(logits), z, cfg)
 
     @pytest.mark.parametrize("case", ["random", "ties", "huge"])
     def test_terms_equal_references(self, rows_per_tile, case):
-        assert_terms_equal_references(case)
+        logits, z = logit_cases()[case]
+        r = reference_soft_assign(logits)
+        seen = logits.copy()
+        np.testing.assert_array_equal(soft_assign(seen), r)
+        np.testing.assert_array_equal(seen, logits)
+        buf = logits.copy()
+        assert soft_assign(buf, out=buf) is buf
+        np.testing.assert_array_equal(buf, r)
+        for got, want in zip(kl_uniform_value_and_grad(r), reference_kl_uniform_value_and_grad(r)):
+            assert_same_bits(got, want)
+        cfg = AnchorConfig(n_anchors=6, top_k=5)
+        for got, want in zip(contrastive_value_and_grad(r, z, cfg),
+                             reference_contrastive_value_and_grad(r, z.data, cfg)):
+            assert_same_bits(got, want)
+        for got, want in zip(_gaussian(r, z, pool_anchors(r, z)),
+                             reference_gaussian_value_and_grad(r, z.data)):
+            assert_same_bits(got, want)
 
     def test_top_k_mask_equals_whole_array_partition(self, rows_per_tile):
         """Masking tile by tile, as the contrastive term does, into the one
@@ -703,7 +652,7 @@ class TestRowTiles:
             assert_same_bits(g, w)
 
     @pytest.mark.parametrize("mode,bound", [("categorical", 1.5), ("gaussian", 2.5)])
-    def test_total_loss_traced_peak_in_assignment_matrices(self, mode, bound):
+    def test_total_loss_traced_peak_in_assignment_matrices(self, traced_peak, mode, bound):
         """At A=512, M=4096 (16-row tiles) the categorical objective holds
         one gradient buffer and a few tiles: the KL sweeps work in the
         buffer the contrastive term then fills. The Gaussian regularizer
@@ -712,10 +661,5 @@ class TestRowTiles:
         input."""
         tokens = TokenMatrix(seeded_rng(42).standard_normal((4096, 16)))
         r = soft_assign(seeded_rng(43).standard_normal((512, 4096)))
-        tracemalloc.start()
-        try:
-            total_loss(r, tokens, AnchorConfig(n_anchors=512, prior_mode=mode))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * r.nbytes
+        cfg = AnchorConfig(n_anchors=512, prior_mode=mode)
+        assert traced_peak(total_loss, r, tokens, cfg) < bound * r.nbytes
