@@ -22,6 +22,7 @@ from anchorkit.core import (
     NumericalError,
     TokenMatrix,
     TruncatedPayloadError,
+    ZeroExtentError,
     _encode_array,
     flatten,
     load_array,
@@ -332,6 +333,32 @@ class TestWritersRefuseWhatTheReaderRejects:
         arr = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max], dtype=np.float64)
         save_array(tmp_path / "max.vlt", arr)
         np.testing.assert_array_equal(load_array(tmp_path / "max.vlt"), arr)
+
+
+# files each reader refuses, as (reader, array stored as VLT1, error raised): the
+# arrays the writers refuse, then token, latent and checkpoint files
+UNREADABLE_FILES = {f"array-{name}": (load_array, arr, error) for (name, arr), error in zip(
+    UNREADABLE_ARRAYS.items(), [ExtentOverflowError] * 2 + [ZeroExtentError] + [FormatError] * 3)
+} | {
+    "tokens-nan": (load_tokens, np.array([[np.nan]]), FormatError),
+    "tokens-rank-1": (load_tokens, np.ones(3), DimensionError),
+    "latent-rank-2": (load_latent, np.ones((2, 3)), DimensionError),
+    "checkpoint-vlt1": (load_checkpoint, np.ones(3), FormatError),
+}
+
+
+class TestReadersNameWhatTheyRefuse:
+    @pytest.mark.parametrize("loader,arr,error", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES)
+    def test_refusal_names_the_file_once_and_keeps_its_type(self, tmp_path, loader, arr, error):
+        """Every refusal, whichever layer raised it, reads ``cannot read PATH: reason``."""
+        path = tmp_path / "bad.vlt"
+        with np.errstate(over="ignore"):  # 1e39 is stored as float32 inf
+            path.write_bytes(_encode_array(arr))
+        with pytest.raises(error) as refused:
+            loader(path)
+        message = str(refused.value)
+        assert type(refused.value) is error and message.count("cannot read") == 1
+        assert message.startswith(f"cannot read {path}: ")
 
 
 # little-endian float32 signalling NaN, quiet NaN, +inf and -inf
