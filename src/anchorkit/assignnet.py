@@ -127,7 +127,11 @@ def init_network(
     return AssignmentNetwork(tuple(layers))
 
 
-def _check_tokens(net: AssignmentNetwork, tokens: TokenMatrix) -> None:
+def _check_tokens(net: AssignmentNetwork, tokens: TokenMatrix, n_anchors=None) -> None:
+    """Refuse tokens of another width than the network's input, and, given
+    ``n_anchors``, a network that emits another number of anchors."""
+    if n_anchors is not None and net.output_dim != n_anchors:
+        raise DimensionError(f"network emits {net.output_dim} anchors, config wants {n_anchors}")
     if tokens.num_channels != net.input_dim:
         raise DimensionError(
             f"network expects {net.input_dim}-channel tokens, got {tokens.num_channels}"
@@ -138,14 +142,16 @@ def _forward_cached(net: AssignmentNetwork, tokens: TokenMatrix, out=None, keep=
     """Run the network on all tokens; returns per-layer activations.
 
     ``acts[i]`` is the input to layer ``i`` as a (width, M) matrix;
-    ``acts[-1]`` is the logit output. Given ``out``, the ``acts[1:]`` of
-    an earlier call on as many tokens, layer ``i`` writes into ``out[i]``
-    and ``acts[i + 1] is out[i]``; otherwise each layer allocates. Without
+    ``acts[-1]`` is the logit output. Given ``out``, one (width, M)
+    array for each of the first ``len(out)`` layers, only those layers
+    run, layer ``i`` writes into ``out[i]`` and ``acts[i + 1] is out[i]``:
+    an ``out`` one array short of the network yields the hidden
+    activations alone. Without ``out`` each layer allocates. Without
     ``keep`` each input is dropped once read, and ``acts`` is the logits.
     """
     acts = [tokens.data.T]
     last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(net.layers if out is None else net.layers[: len(out)]):
         x = np.matmul(layer.weight, acts[-1], out=None if out is None else out[i])
         x += layer.bias[:, None]
         if i < last:
@@ -185,9 +191,10 @@ def _backprop(net: AssignmentNetwork, acts, upstream: np.ndarray) -> GradientBun
     It consumes the hidden activations ``acts[1:-1]``: once layer ``i``'s
     weight gradient is taken, ``acts[i]`` is overwritten with tanh' and
     then with the delta propagated to layer ``i - 1``. The tokens
-    ``acts[0]`` are never written. The output ``acts[-1]`` is spent by the
-    time the loop runs, so each propagated ``W.T @ delta`` goes into its
-    leading width * M entries when it has room, else into a fresh array.
+    ``acts[0]`` are never written. The last entry, the output or any
+    C-ordered array the caller no longer needs, is spent by the time the
+    loop runs, so each propagated ``W.T @ delta`` goes into its leading
+    width * M entries when it has room, else into a fresh array.
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     delta = upstream

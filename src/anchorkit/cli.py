@@ -35,6 +35,8 @@ from .core import (
     AnchorKitError,
     ConfigError,
     TokenMatrix,
+    _anchor_matrix,
+    _naming,
     _write_csv,
     load_array,
     load_tokens,
@@ -361,10 +363,20 @@ def _train_config(cfg: dict) -> compressor.TrainConfig:
     )
 
 
+def _load_network(path, tokens: TokenMatrix, n_anchors=None):
+    """The network and step count of the checkpoint at ``path``; one that does
+    not fit ``tokens`` (or emit ``n_anchors``) is refused naming ``path``."""
+    net, step_count = assignnet.load_checkpoint(path)
+    with _naming("read", path):
+        assignnet._check_tokens(net, tokens, n_anchors)
+    return net, step_count
+
+
 def cmd_train(cfg: dict) -> int:
     train_cfg = _train_config(cfg)  # reject bad settings before reading any input
     tokens = load_tokens(cfg["input"])
-    net, base_steps = assignnet.load_checkpoint(cfg["resume"]) if cfg["resume"] else (None, 0)
+    net, base_steps = (_load_network(cfg["resume"], tokens, train_cfg.objective.n_anchors)
+                       if cfg["resume"] else (None, 0))
     net, report = compressor.train(tokens, train_cfg, net=net)
     if cfg["checkpoint"]:
         assignnet.save_checkpoint(cfg["checkpoint"], net, base_steps + train_cfg.steps)
@@ -381,7 +393,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_compress(cfg: dict) -> int:
     tokens = load_tokens(cfg["input"])
-    net, _ = assignnet.load_checkpoint(cfg["checkpoint"])
+    net, _ = _load_network(cfg["checkpoint"], tokens)
     result = compressor.compress(tokens, net)
     if cfg["out_r"]:
         save_array(cfg["out_r"], result.assignments)
@@ -456,7 +468,11 @@ def cmd_attend(cfg: dict) -> int:
     if cfg["mode"] == "anchor" and not cfg["anchors_file"]:
         raise ConfigError("anchor mode needs --anchors-file")
     tokens = load_tokens(cfg["input"])
-    anchors = load_array(cfg["anchors_file"]) if cfg["mode"] == "anchor" else None
+    anchors = None
+    if cfg["mode"] == "anchor":
+        anchors = load_array(cfg["anchors_file"])
+        with _naming("read", cfg["anchors_file"]):
+            _anchor_matrix(anchors, tokens.num_channels)
     proj = attention.init_projection(tokens.num_channels, cfg["proj_dim"], seed=cfg["seed"])
     out = _KERNELS[cfg["mode"]](tokens, anchors, proj)
     if cfg["out"]:

@@ -4,21 +4,31 @@ Training is plain full-batch gradient descent on the anchor objective:
 every step runs the network, softmaxes its logits in their own buffer,
 evaluates the losses on those assignments in one (n_anchors, batch)
 gradient buffer (two with the Gaussian prior), records its report row,
-backpropagates into the network with the products in the spent
-assignments, and drops the gradient before its Adam step, so no phase
-holds a dead (n_anchors, batch) array. The network's (width, batch) arrays are
-allocated by the first step and written again by every later one, so a
-step does not fault in fresh pages for them. There is no early stopping;
-a fixed step count keeps runs reproducible. Settings that cannot train
-(a top-k larger than the batch, a network of the wrong width) are
-rejected before a network is built or run. Inference is the same forward pass,
-keeping no activation it has read, and softmax, then one matrix multiplication.
+and backpropagates into the network with the products in the spent
+assignments. The network's arrays are allocated once and written again
+by every step, so a step does not fault in fresh pages for them. When
+the objective keeps one gradient buffer and the assignments can hold
+every hidden activation plus one propagated product (n_anchors at least
+the sum of the hidden widths plus the largest), the logits and that
+buffer, also allocated once, are the step's only (n_anchors, batch)
+arrays: the forward pass puts the hidden activations in the gradient
+buffer's leading rows, the objective overwrites them, and they are
+recomputed with the same bits into the spent assignments for backprop
+(rematerialisation, Chen et al. 2016). Otherwise the hidden activations
+keep arrays of their own and the objective's gradient is dropped before
+the Adam step, so no phase holds a dead (n_anchors, batch) array. There
+is no early stopping; a fixed step count keeps runs reproducible.
+Settings that cannot train (a top-k larger than the batch, a network of
+the wrong width) are rejected before a network is built or run.
+Inference is the same forward pass, keeping no activation it has read,
+and softmax, then one matrix multiplication.
 ``anchor_means`` divides the anchors ``compress`` pooled by their mass, with
 the objective's degenerate-anchor rule.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +39,6 @@ from .assignnet import AdamParams, AssignmentNetwork
 from .core import (
     AnchorKitError,
     ConfigError,
-    DimensionError,
     NumericalError,
     TokenMatrix,
     _write_csv,
@@ -122,7 +131,11 @@ def train(
     A fresh Xavier-initialized network is created from ``cfg.seed`` unless
     one is passed in (checkpoint reuse). Identical (tokens, cfg, net)
     always produce bit-identical results. A step holds the assignments, the
-    hidden activations and the objective's buffers, never an earlier step's.
+    hidden activations and the objective's buffers, never an earlier step's;
+    with one gradient buffer and at least sum(hidden_dims) + max(hidden_dims)
+    anchors it holds the assignments and that buffer alone, and runs the
+    hidden layers twice: forward into the gradient buffer, then, once the
+    report row is taken, into the spent assignments for backprop.
     """
     obj = cfg.objective
     if cfg.subsample is not None and cfg.subsample > tokens.num_tokens:
@@ -136,29 +149,37 @@ def train(
         net = assignnet.init_network(
             tokens.num_channels, obj.n_anchors, cfg.hidden_dims, seed=cfg.seed
         )
-    elif net.output_dim != obj.n_anchors:
-        raise DimensionError(
-            f"network emits {net.output_dim} anchors, config wants {obj.n_anchors}"
-        )
-    assignnet._check_tokens(net, tokens)
+    assignnet._check_tokens(net, tokens, obj.n_anchors)
     state = assignnet.init_adam(net, cfg.adam)
     rng = seeded_rng(cfg.seed)
     records = []
-    layer_out = None  # the (width, batch) arrays every step's forward writes into
+    widths = [layer.weight.shape[0] for layer in net.layers[:-1]]
+    # the arrays every step writes: the logits, softmaxed in place, and either
+    # one per hidden layer or, when the objective keeps one gradient buffer
+    # and the assignments hold every hidden activation plus one propagated
+    # product, that buffer, whose leading rows hold the hidden activations
+    # until the objective overwrites them
+    logits = np.empty((obj.n_anchors, batch_size))
+    grad = None
+    one_buffer = obj.kl_weight == 0.0 or obj.prior_mode == "categorical"
+    if one_buffer and obj.n_anchors >= sum(widths) + max(widths, default=0):
+        grad = np.empty_like(logits)
+        layer_out = [*_row_blocks(grad, widths), logits]
+    else:
+        layer_out = [*(np.empty((width, batch_size)) for width in widths), logits]
     for step in range(1, cfg.steps + 1):
         if cfg.subsample is None:
             batch = tokens
         else:
             idx = np.sort(rng.choice(tokens.num_tokens, size=cfg.subsample, replace=False))
             batch = TokenMatrix._adopt(tokens.data[idx])
-        # one forward pass per step, into the first step's arrays; the softmax
-        # reuses the logits' buffer, backprop the hidden activations'
+        # the forward pass, into the same arrays every step
         acts = assignnet._forward_cached(net, batch, out=layer_out)
         try:
-            assignments = soft_assign(acts[-1], out=acts[-1])
+            assignments = soft_assign(logits, out=logits)
         except NumericalError:
             raise TrainingDivergedError(step, "logits") from None
-        value = total_loss(assignments, batch, obj)
+        value = total_loss(assignments, batch, obj, out=grad)
         for term, name in ((value.contrastive, "contrastive"), (value.regularizer, "regularizer")):
             if not np.isfinite(term):
                 raise TrainingDivergedError(step, name)
@@ -172,15 +193,25 @@ def train(
                     anchor_usage_entropy(assignments),
                 )
             )
-        # the spent assignments take backprop's products; Adam runs without the gradient
+        if grad is not None:
+            # the same products, bias adds and tanh into the spent assignments,
+            # so the same bits; backprop's products take the rows left over
+            acts = assignnet._forward_cached(net, batch, out=_row_blocks(assignments, widths))
+            acts.append(assignments[sum(widths):])
+        # backprop's products go into the spent assignments; a gradient of the
+        # objective's own is freed before Adam
         grads = assignnet._backprop(net, acts, value.grad_logits)
         del value
-        layer_out = acts[1:]
         try:
             net, state = assignnet.adam_step(net, grads, state)
         except NumericalError:
             raise TrainingDivergedError(step, "parameters") from None
     return net, TrainReport(tuple(records))
+
+
+def _row_blocks(buf: np.ndarray, widths: list[int]) -> list[np.ndarray]:
+    """Consecutive row blocks of ``buf`` from its first row, ``widths[i]`` rows each."""
+    return [buf[end - width : end] for width, end in zip(widths, itertools.accumulate(widths))]
 
 
 def compress(tokens: TokenMatrix, net: AssignmentNetwork) -> CompressResult:

@@ -29,7 +29,7 @@ runs along a row, except the softmax backward's column sums, which carry
 their running sums from tile to tile in the row order of numpy's own
 axis-0 sum, and the KL value, one sum over the whole buffer. No public
 function writes its arguments, except an ``out`` array handed to
-``soft_assign``.
+``soft_assign`` or ``total_loss``.
 
 All gradients here are with respect to the logits; callers chain them
 into network parameters with ``assignnet.backward``. Every gradient is an
@@ -421,7 +421,10 @@ class ObjectiveValue:
     grad_logits: np.ndarray
 
 
-def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) -> ObjectiveValue:
+def total_loss(
+    assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig,
+    out: Optional[np.ndarray] = None,
+) -> ObjectiveValue:
     """Contrastive term plus the weighted prior regularizer, with gradient.
 
     ``assignments`` is :func:`soft_assign` of the logits. ``prior_mode``
@@ -430,18 +433,21 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
     ``regularizer`` is 0.0.
 
     The anchors are pooled first, once, which also checks the shapes.
-    One (n_anchors, M) buffer, ``grad``, carries the step. With the
-    categorical prior, a first row-tile sweep writes log(r * A) into it
-    and takes the KL value and the column sums of its softmax backward;
-    the contrastive term then works in ``grad`` and leaves its gradient
-    there; a second sweep recomputes log(r * A) tile by tile and adds the
-    weighted KL gradient into it. That recompute is one log pass per step
-    more than the minimum, paid so the KL gradient needs no array of its
-    own. The Gaussian prior's three products stay whole for their bits,
-    so it keeps its own gradient: taken before ``grad`` exists, so its
-    scratch is freed first, and added into ``grad`` at the end. Each
-    entry is the same sum of the weighted regularizer gradient and the
-    contrastive one as adding the two whole arrays.
+    One (n_anchors, M) buffer, ``grad``, carries the step and is returned
+    as ``grad_logits``: ``out`` if given, a C-ordered float64 array of
+    that shape, not ``assignments``, whose contents are overwritten, else
+    a new array. With the categorical prior, a first row-tile sweep
+    writes log(r * A) into it and takes the KL value and the column sums
+    of its softmax backward; the contrastive term then works in ``grad``
+    and leaves its gradient there; a second sweep recomputes log(r * A)
+    tile by tile and adds the weighted KL gradient into it. That
+    recompute is one log pass per step more than the minimum, paid so
+    the KL gradient needs no array of its own. The Gaussian prior's three
+    products stay whole for their bits, so it keeps its own gradient:
+    taken before a new ``grad`` is allocated, so its scratch is freed
+    first, and added into ``grad`` at the end. Each entry is the same sum
+    of the weighted regularizer gradient and the contrastive one as
+    adding the two whole arrays.
     """
     r = np.asarray(assignments, dtype=np.float64)
     anchors = pool_anchors(r, tokens)
@@ -450,7 +456,7 @@ def total_loss(assignments: np.ndarray, tokens: TokenMatrix, cfg: AnchorConfig) 
     if weight != 0.0 and cfg.prior_mode == "gaussian":
         reg, reg_grad = _gaussian(r, tokens, anchors)
         reg_grad *= weight
-    grad = np.empty(r.shape)
+    grad = np.empty(r.shape) if out is None else out
     if weight != 0.0 and cfg.prior_mode == "categorical":
         reg, column_sums = _kl_value_and_column_sums(r, grad)
     contrast = _contrastive(r, tokens, cfg, grad, anchors)[0]

@@ -159,6 +159,11 @@ class TestInPlaceLayers:
             assert got is buf
         for got, want in zip(acts, _forward_cached(net, tokens)):
             np.testing.assert_array_equal(got, want)
+        # one array short of the network: the hidden layers alone run
+        hidden_acts = _forward_cached(net, tokens, out=[np.full_like(b, np.nan) for b in bufs[:-1]])
+        assert len(hidden_acts) == len(acts) - 1
+        for got, want in zip(hidden_acts, acts):
+            np.testing.assert_array_equal(got, want)
 
     def test_backprop_writes_only_the_hidden_activations(self):
         rng = seeded_rng(36)

@@ -603,6 +603,26 @@ class TestArtifactReaders:
         assert [line for line in err if line.startswith("error:")] == [err[-1]]
         assert f"cannot read {path}: " in err[-1]
 
+    @pytest.mark.parametrize("argv,named,reason", [
+        (["attend", "--input", "mix.vlt", "--mode", "anchor", "--anchors-file", "r.vlt",
+          "--proj-dim", "4"], "r.vlt", "anchors must be (n >= 1, 6), got (4, 64)"),
+        (["compress", "--input", "att.vlt", "--checkpoint", "net.ckpt"], "net.ckpt",
+         "network expects 6-channel tokens, got 4"),
+        (["train", "--input", "att.vlt", "--steps", "1", "--anchors", "4", "--hidden", "8",
+          "--resume", "net.ckpt"], "net.ckpt", "network expects 6-channel tokens, got 4"),
+        (["train", "--input", "mix.vlt", "--steps", "1", "--anchors", "3", "--hidden", "8",
+          "--resume", "net.ckpt"], "net.ckpt", "network emits 4 anchors, config wants 3"),
+    ], ids=["attend-anchors-width", "compress-channels", "train-resume-channels",
+            "train-resume-anchors"])
+    def test_file_that_does_not_fit_is_named(self, pipeline, capsys, argv, named, reason):
+        """A file that each reader takes on its own but that does not fit the
+        run's tokens or ``--anchors`` is refused naming that file."""
+        argv = [str(pipeline / a) if a.endswith((".vlt", ".ckpt")) else a for a in argv]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [err[-1]]
+        assert err[-1] == f"error: cannot read {pipeline / named}: {reason}"
+
 
 class TestOutputPaths:
     def test_table_marks_every_output_option(self):

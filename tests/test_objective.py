@@ -485,6 +485,22 @@ class TestInPlaceObjective:
         np.testing.assert_array_equal(r_seen, r)
         np.testing.assert_array_equal(z.data, data)
 
+    @pytest.mark.parametrize("weight", [0.0, 0.3])
+    @pytest.mark.parametrize("mode", PRIOR_MODES)
+    @pytest.mark.parametrize("case", ["random", "huge"])
+    def test_total_loss_into_out_equals_a_fresh_gradient(self, case, mode, weight):
+        """``total_loss(..., out=buf)`` returns ``buf`` as its gradient, with
+        the bits of a fresh call whatever ``buf`` held before."""
+        logits, z = logit_cases()[case]
+        r = soft_assign(logits)
+        cfg = AnchorConfig(n_anchors=6, top_k=5, kl_weight=weight, prior_mode=mode)
+        buf = np.full(r.shape, np.nan)
+        got, want = total_loss(r, z, cfg, out=buf), total_loss(r, z, cfg)
+        assert got.grad_logits is buf
+        for a, b in zip((got.total, got.contrastive, got.regularizer, got.grad_logits),
+                        (want.total, want.contrastive, want.regularizer, want.grad_logits)):
+            assert_same_bits(a, b)
+
     @pytest.mark.parametrize("case", ["random", "huge"])
     def test_terms_take_fortran_ordered_assignments(self, case):
         """A column-major view gives the same bits as its C-ordered copy
